@@ -73,9 +73,6 @@ type harnessConfig struct {
 	AnswerLatency time.Duration
 	Strategy      string
 	Trees         int
-	// ShardWorkers bounds component-shard parallelism per session (sent as
-	// the create request's parallelism.shards; 0 leaves the server default).
-	ShardWorkers int
 	// EngineWorkers bounds morsel-parallel query evaluation per session
 	// (sent as the create request's parallelism.engine; 0 leaves the
 	// server default).
@@ -113,7 +110,6 @@ type report struct {
 	Rejected429       int      `json:"rejected_429"`
 	ClientErrors      int      `json:"client_errors"`
 	Answers           int      `json:"answers"`
-	ShardWorkers      int      `json:"shard_workers,omitempty"`
 	EngineWorkers     int      `json:"engine_workers,omitempty"`
 	ComponentGroups   int64    `json:"peak_component_groups"`
 	ThroughputPerSec  float64  `json:"throughput_answers_per_sec"`
@@ -141,8 +137,8 @@ func (r *report) Summary() string {
 	fmt.Fprintf(&b, "  throughput=%.1f answers/s (%d answers)\n", r.ThroughputPerSec, r.Answers)
 	fmt.Fprintf(&b, "  server: retrain_stalls=%d rejected_429=%d trace_dropped=%d probe-route p99=%.2fms\n",
 		r.RetrainStalls, r.ServerRejected, r.TraceDropped, r.ServerP99ProbeMS)
-	fmt.Fprintf(&b, "  sharding: shard_workers=%d peak_component_groups=%d engine_workers=%d\n",
-		r.ShardWorkers, r.ComponentGroups, r.EngineWorkers)
+	fmt.Fprintf(&b, "  sharding: peak_component_groups=%d engine_workers=%d\n",
+		r.ComponentGroups, r.EngineWorkers)
 	return b.String()
 }
 
@@ -278,10 +274,8 @@ func (c *loadClient) driveSession(ctx context.Context, cfg harnessConfig, query 
 		Seed:     rng.Int63(),
 		Trees:    cfg.Trees,
 	}
-	if cfg.ShardWorkers != 0 || cfg.EngineWorkers != 0 {
-		create.Parallelism = &server.ParallelismJSON{
-			Shards: cfg.ShardWorkers, Engine: cfg.EngineWorkers,
-		}
+	if cfg.EngineWorkers != 0 {
+		create.Parallelism = &server.ParallelismJSON{Engine: cfg.EngineWorkers}
 	}
 	var info server.SessionInfo
 	status, err := c.doJSON(ctx, http.MethodPost, "/v1/sessions", create, &info)
@@ -503,7 +497,6 @@ arrivalLoop:
 		Rejected429:       client.ctr.rejected,
 		ClientErrors:      client.ctr.errors,
 		Answers:           client.ctr.answers,
-		ShardWorkers:      cfg.ShardWorkers,
 		EngineWorkers:     cfg.EngineWorkers,
 		ComponentGroups:   int64(peakGroups),
 		ThroughputPerSec:  float64(client.ctr.answers) / elapsed.Seconds(),

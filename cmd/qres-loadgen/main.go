@@ -38,7 +38,6 @@ func main() {
 		answerLat = flag.Duration("answer-latency", 5*time.Millisecond, "simulated oracle think time per answer")
 		strategy  = flag.String("strategy", "general", "session strategy (general, qvalue, ro, random, greedy, lal-only)")
 		trees     = flag.Int("trees", 25, "forest size per session")
-		shardW    = flag.Int("shard-workers", 0, "component-shard workers per session (0: server default, 1: serial)")
 		engineW   = flag.Int("engine-workers", 0, "engine workers per session query evaluation (0: server default, 1: serial)")
 		sessions  = flag.Int("max-sessions", 64, "in-process server session cap (drives 429 backpressure)")
 		storeDir  = flag.String("store-dir", "", "persist the in-process server's repository here (measures the durable answer path)")
@@ -61,7 +60,6 @@ func main() {
 		AnswerLatency: *answerLat,
 		Strategy:      *strategy,
 		Trees:         *trees,
-		ShardWorkers:  *shardW,
 		EngineWorkers: *engineW,
 		MaxSessions:   *sessions,
 		StoreDir:      *storeDir,

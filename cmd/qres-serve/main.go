@@ -53,7 +53,6 @@ func main() {
 		compactIntv = flag.Duration("compact-interval", time.Minute, "segmented engine: background compaction interval (<=0 disables)")
 		maxSessions = flag.Int("max-sessions", 64, "maximum concurrently live sessions")
 		ttl         = flag.Duration("ttl", 30*time.Minute, "idle session time-to-live")
-		shardW      = flag.Int("shard-workers", 0, "default component-shard workers per session (0 = per CPU, 1 = serial)")
 		engineW     = flag.Int("engine-workers", 0, "default engine workers per query evaluation (0 = per CPU, 1 = serial)")
 		tracePath   = flag.String("trace", "", "append pipeline span trace to this JSONL file")
 		slowPath    = flag.String("slow-log", "", "append slow-request log to this JSONL file")
@@ -71,8 +70,7 @@ func main() {
 		addr: *addr, data: *data, sf: *sf, athletes: *athletes, seed: *seed,
 		storeDir: dir, storeEngine: *storeEngine,
 		segmentBytes: *segBytes, compactInterval: *compactIntv,
-		maxSessions: *maxSessions, ttl: *ttl,
-		shardWorkers: *shardW, engineWorkers: *engineW,
+		maxSessions: *maxSessions, ttl: *ttl, engineWorkers: *engineW,
 		tracePath: *tracePath, slowPath: *slowPath,
 		slowAfter: *slowAfter, stallAfter: *stallAfter, debugAddr: *debugAddr,
 	}
@@ -92,7 +90,6 @@ type serveOptions struct {
 	segmentBytes          int64
 	compactInterval       time.Duration
 	maxSessions           int
-	shardWorkers          int
 	engineWorkers         int
 	ttl                   time.Duration
 	tracePath, slowPath   string
@@ -159,7 +156,7 @@ func run(o serveOptions) error {
 		DB:                    udb,
 		MaxSessions:           o.maxSessions,
 		SessionTTL:            o.ttl,
-		Parallel:              resolve.Parallelism{Shards: o.shardWorkers, Engine: o.engineWorkers},
+		Parallel:              resolve.Parallelism{Engine: o.engineWorkers},
 		Registry:              reg,
 		SlowRequestThreshold:  o.slowAfter,
 		RetrainStallThreshold: o.stallAfter,

@@ -6,15 +6,16 @@ import (
 	"testing"
 	"time"
 
-	"qres/internal/oracle"
 	"qres/internal/resolve"
 	"qres/internal/stats"
 )
 
-// Component-sharded selection must pick the identical probe sequence and
-// resolve the identical answer set as the monolithic path on the seed
-// workloads, for every tested shard-worker count — the end-to-end
-// counterpart of the synthetic equivalence test in internal/resolve.
+// The sharded incremental path must probe exactly like the full
+// recompute (DisableIncremental) on the seed workloads: the sessions run
+// in lockstep and must pick the same variable and report the same row
+// snapshot after every step — the end-to-end counterpart of the synthetic
+// equivalence test in internal/resolve. The shard pool sizes itself from
+// GOMAXPROCS, so worker-count coverage comes from -cpu=1,2,4,8.
 func TestShardEquivalenceSeedWorkloads(t *testing.T) {
 	sc := Scale{TPCHSF: 0.001, NELLAthletes: 50, InitialProbes: 40, Trees: 5, Reps: 1}
 
@@ -38,32 +39,33 @@ func TestShardEquivalenceSeedWorkloads(t *testing.T) {
 			t.Fatalf("%s: %v", ld.name, err)
 		}
 		for _, cfg := range configs {
-			cfg.Trees = sc.Trees
-			name := ld.name + "/" + cfg.Name()
-			t.Run(name, func(t *testing.T) {
-				run := func(mutate func(*resolve.Config)) ([]int, []int, int) {
+			cfg.Trees, cfg.Seed = sc.Trees, 23
+			t.Run(ld.name+"/"+cfg.Name(), func(t *testing.T) {
+				session := func(disable bool) *resolve.Session {
 					c := cfg
-					mutate(&c)
-					rec := oracle.NewRecorder(w.Oracle())
-					out, err := w.RunWithOracle(c, sc.InitialProbes, 23, rec)
+					c.DisableIncremental = disable
+					repo := w.Repository(sc.InitialProbes, stats.SubSeed(23, 11))
+					sess, err := resolve.NewSession(w.DB, w.Result, w.Oracle(), repo, c)
 					if err != nil {
 						t.Fatal(err)
 					}
-					probes := make([]int, 0, rec.Count())
-					for _, v := range rec.Probes() {
-						probes = append(probes, int(v))
-					}
-					return probes, out.CorrectRows(), out.Probes
+					return sess
 				}
-				monoProbes, monoRows, monoN := run(func(c *resolve.Config) { c.DisableSharding = true })
-				for _, workers := range []int{0, 1, 2, 8} {
-					probes, rows, n := run(func(c *resolve.Config) { c.Parallel.Shards = workers })
-					if monoN != n || !reflect.DeepEqual(monoProbes, probes) {
-						t.Fatalf("probe sequence diverged at %d shard workers (mono %d probes, sharded %d)\nmono:  %v\nshard: %v",
-							workers, monoN, n, monoProbes, probes)
+				full, sharded := session(true), session(false)
+				for step := 0; ; step++ {
+					fv, fdone, ferr := full.Step()
+					sv, sdone, serr := sharded.Step()
+					if ferr != nil || serr != nil {
+						t.Fatalf("step %d: full err %v, sharded err %v", step, ferr, serr)
 					}
-					if !reflect.DeepEqual(monoRows, rows) {
-						t.Fatalf("answer set diverged at %d shard workers", workers)
+					if fv != sv || fdone != sdone {
+						t.Fatalf("step %d: full probed %d (done %t), sharded %d (done %t)", step, fv, fdone, sv, sdone)
+					}
+					if !reflect.DeepEqual(full.Snapshot(), sharded.Snapshot()) {
+						t.Fatalf("step %d: row snapshots diverged", step)
+					}
+					if fdone {
+						break
 					}
 				}
 			})
@@ -72,13 +74,13 @@ func TestShardEquivalenceSeedWorkloads(t *testing.T) {
 }
 
 // BenchmarkShardStepPath measures per-probe wall time on the seed
-// workloads, monolithic versus component-sharded at 1/2/4/8 shard workers
-// — the speedup curves results/BENCH_shard.json records. The Q-Value+EP
-// configuration keeps the Learner version stable and every round's score
-// kind cacheable, so untouched shards serve whole rounds from cached
-// winners and per-probe cost tracks the probed component's size rather
-// than the workset's; the monolithic path rebuilds its candidate scan
-// over the whole workset every round.
+// workloads, the full recompute (the oracle) versus the sharded
+// incremental path. The Q-Value+EP configuration keeps the Learner version
+// stable and every round's score kind cacheable, so untouched shards serve
+// whole rounds from cached winners and per-probe cost tracks the probed
+// component's size rather than the workset's; the full path rescores
+// every candidate every round. The shard pool sizes itself from
+// GOMAXPROCS: run with -cpu=1,2,4,8 for the worker curve.
 func BenchmarkShardStepPath(b *testing.B) {
 	sc := Scale{TPCHSF: 0.01, NELLAthletes: 500, InitialProbes: 80, Trees: 5, Reps: 1}
 
@@ -93,11 +95,8 @@ func BenchmarkShardStepPath(b *testing.B) {
 		name   string
 		mutate func(*resolve.Config)
 	}{
-		{"monolithic", func(c *resolve.Config) { c.DisableSharding = true }},
-		{"shards-1", func(c *resolve.Config) { c.Parallel.Shards = 1 }},
-		{"shards-2", func(c *resolve.Config) { c.Parallel.Shards = 2 }},
-		{"shards-4", func(c *resolve.Config) { c.Parallel.Shards = 4 }},
-		{"shards-8", func(c *resolve.Config) { c.Parallel.Shards = 8 }},
+		{"full", func(c *resolve.Config) { c.DisableIncremental = true }},
+		{"sharded", func(c *resolve.Config) {}},
 	}
 
 	for _, ld := range loads {

@@ -1,18 +1,10 @@
 package resolve
 
 import (
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"qres/internal/boolexpr"
 )
-
-// rescoreParallelMin is the number of variables below which the rescore
-// runs serially: goroutine fan-out costs more than a few hundred float
-// operations.
-const rescoreParallelMin = 64
 
 // scoreStats reports one scoring call's cache behaviour: how many
 // candidate variables were actually rescored (cache misses) and how many
@@ -23,7 +15,7 @@ type scoreStats struct {
 	misses   int
 }
 
-// incState is the per-session incremental scoring state: caches of
+// incState is one component shard's incremental scoring state: caches of
 // probability estimates and per-variable utility aggregates that survive
 // across probe-selection rounds and are reconciled against probe deltas
 // instead of being rebuilt. All caches key on two invariants:
@@ -46,12 +38,10 @@ type scoreStats struct {
 type incState struct {
 	work    *workset
 	learner *Learner
-	workers int
 
-	// exprIDs restricts full-scan cache builds to this expression subset (a
-	// component shard); nil means the whole workset. Delta reconciliation
-	// needs no restriction — the session routes each delta to the one shard
-	// whose component it touches.
+	// exprIDs scopes full-scan cache builds to the shard's component.
+	// Delta reconciliation needs no scoping — the session routes each
+	// delta to the one shard whose component it touches.
 	exprIDs []int
 
 	// ver is the Learner version the caches were built against; haveVer
@@ -99,30 +89,11 @@ type roCache struct {
 	dirtyVars  map[boolexpr.Var]bool
 }
 
-// newIncState builds the incremental scoring state for a session or one
-// component shard of it. workers bounds rescore parallelism; <= 0 defaults
-// to GOMAXPROCS. exprIDs scopes full-scan cache builds to that expression
-// subset; nil covers the whole workset.
-func newIncState(work *workset, learner *Learner, workers int, exprIDs []int) *incState {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &incState{work: work, learner: learner, workers: workers, exprIDs: exprIDs}
-}
-
-// eachUndecided visits the undecided expressions in scope — the exprIDs
-// subset if set, otherwise the whole workset — in ascending index order.
+// eachUndecided visits the shard's undecided expressions in ascending
+// index order.
 func (inc *incState) eachUndecided(fn func(i int, e boolexpr.Expr)) {
-	if inc.exprIDs != nil {
-		for _, i := range inc.exprIDs {
-			if e := inc.work.exprs[i]; !e.Decided() {
-				fn(i, e)
-			}
-		}
-		return
-	}
-	for i, e := range inc.work.exprs {
-		if !e.Decided() {
+	for _, i := range inc.exprIDs {
+		if e := inc.work.exprs[i]; !e.Decided() {
 			fn(i, e)
 		}
 	}
@@ -135,9 +106,6 @@ func (inc *incState) eachUndecided(fn func(i int, e boolexpr.Expr)) {
 // call (lazily, so several deltas between scoring rounds — e.g. a burst of
 // repository-known answers — coalesce into one reconcile pass).
 func (inc *incState) noteDelta(d *probeDelta) {
-	if inc == nil {
-		return
-	}
 	gone := func(v boolexpr.Var) {
 		delete(inc.probs, v)
 		delete(inc.qv, v)
@@ -195,14 +163,10 @@ func (inc *incState) candidateProbs(candidates []boolexpr.Var) (probs map[boolex
 		return inc.probs, len(candidates), 0
 	}
 	inc.probs = make(map[boolexpr.Var]float64, len(candidates))
+	// One batch prediction (one model snapshot, batched forest traversal);
+	// the floats equal per-call Prob exactly.
 	vals := make([]float64, len(candidates))
-	// Chunked batch prediction: each worker serves a contiguous candidate
-	// range through ProbBatch (one model snapshot, batched forest
-	// traversal), writing positionally into vals. The floats equal per-call
-	// Prob exactly, for any worker count.
-	inc.parallelChunks(len(candidates), func(lo, hi int) {
-		inc.learner.ProbBatch(candidates[lo:hi], vals[lo:hi])
-	})
+	inc.learner.ProbBatch(candidates, vals)
 	for i, v := range candidates {
 		inc.probs[v] = vals[i]
 	}
@@ -210,52 +174,24 @@ func (inc *incState) candidateProbs(candidates []boolexpr.Var) (probs map[boolex
 	return inc.probs, 0, len(candidates)
 }
 
-// scores reconciles the round's utility caches and returns a score lookup
-// for the selector. Returning a function instead of materializing a map
-// keeps the steady-state round free of O(candidates) map construction: the
-// selector evaluates each candidate once, with the exact floats the full
-// recompute would put in its map. ok is false for utilities the cache does
-// not understand; the caller then falls back to the full Utility.Scores
-// path.
-func (inc *incState) scores(util Utility, candidates []boolexpr.Var, probs map[boolexpr.Var]float64, round int) (func(boolexpr.Var) float64, scoreStats, bool) {
-	switch util.(type) {
-	case QValue:
-		fn, st := inc.qvalueScores(candidates, probs)
-		return fn, st, true
-	case RO:
-		fn, st := inc.roScores(candidates, probs)
-		return fn, st, true
-	case General:
-		if round%2 == 1 {
-			fn, st := inc.roScores(candidates, probs)
-			return fn, st, true
-		}
-		fn, st := inc.generalFalseScores(candidates, probs)
-		return fn, st, true
-	default:
-		return nil, scoreStats{}, false
-	}
-}
-
 // qvalueScores maintains the per-variable Formula (1) cache: dirty
-// variables are rescored (in parallel) with the same qvalueVarScore the
-// full path uses; everything else keeps its cached score.
+// variables are rescored with the same qvalueVarScore the full path uses;
+// everything else keeps its cached score.
 func (inc *incState) qvalueScores(candidates []boolexpr.Var, probs map[boolexpr.Var]float64) (func(boolexpr.Var) float64, scoreStats) {
 	var st scoreStats
 	if inc.qv == nil {
 		inc.qv = make(map[boolexpr.Var]float64, len(candidates))
 		inc.qvDirty = make(map[boolexpr.Var]bool)
-		inc.rescoreInto(candidates, func(v boolexpr.Var) float64 {
-			return qvalueVarScore(inc.work, v, probs[v])
-		}, inc.qv)
+		for _, v := range candidates {
+			inc.qv[v] = qvalueVarScore(inc.work, v, probs[v])
+		}
 		st.rescored, st.misses = len(candidates), len(candidates)
 	} else if len(inc.qvDirty) > 0 {
-		dirty := sortedVarSet(inc.qvDirty)
-		inc.rescoreInto(dirty, func(v boolexpr.Var) float64 {
-			return qvalueVarScore(inc.work, v, probs[v])
-		}, inc.qv)
-		st.rescored, st.misses = len(dirty), len(dirty)
-		inc.qvDirty = make(map[boolexpr.Var]bool)
+		for v := range inc.qvDirty {
+			inc.qv[v] = qvalueVarScore(inc.work, v, probs[v])
+		}
+		st.rescored, st.misses = len(inc.qvDirty), len(inc.qvDirty)
+		clear(inc.qvDirty)
 	}
 	st.hits = len(candidates) - st.misses
 	qv := inc.qv
@@ -279,37 +215,22 @@ func (inc *incState) generalFalseScores(candidates []boolexpr.Var, probs map[boo
 		})
 		st.rescored, st.misses = len(candidates), len(candidates)
 	} else if len(inc.tcDirty) > 0 {
-		dirty := sortedVarSet(inc.tcDirty)
-		counts := make([]int, len(dirty))
-		inc.parallelFill(len(dirty), func(i int) {
-			counts[i] = termOccurrences(inc.work, dirty[i])
-		})
-		for i, v := range dirty {
-			inc.tc[v] = counts[i]
+		for v := range inc.tcDirty {
+			inc.tc[v] = termOccurrences(inc.work, v)
 		}
-		st.rescored, st.misses = len(dirty), len(dirty)
-		inc.tcDirty = make(map[boolexpr.Var]bool)
+		st.rescored, st.misses = len(inc.tcDirty), len(inc.tcDirty)
+		clear(inc.tcDirty)
 	}
 	st.hits = len(candidates) - st.misses
 	tc := inc.tc
 	return func(v boolexpr.Var) float64 { return generalFalseScore(probs[v], tc[v]) }, st
 }
 
-// roScores maintains the Formula (2) caches and derives the round's score
-// function from them: reconcile the weight structures, size α from the
-// maintained multiset with the same weightStatsSorted the full path sorts
-// into, and combine. Component shards call the two halves — roReconcile
-// and roScoreFn — separately, because their α must come from the k-way
-// merge of every shard's multiset rather than one shard's own.
-func (inc *incState) roScores(candidates []boolexpr.Var, probs map[boolexpr.Var]float64) (func(boolexpr.Var) float64, scoreStats) {
-	st := inc.roReconcile(candidates, probs)
-	minW, gap := weightStatsSorted(inc.ro.sorted)
-	return inc.roScoreFn(probs, roAlphaFromStats(minW, gap)), st
-}
-
 // roReconcile maintains the Formula (2) caches: touched expressions refresh
 // their term weights in the sorted multiset, dirty variables recompute
-// their best containing-term weight.
+// their best containing-term weight. The final combine is roScoreFn's,
+// because α must come from the k-way merge of every shard's multiset
+// rather than one shard's own.
 func (inc *incState) roReconcile(candidates []boolexpr.Var, probs map[boolexpr.Var]float64) scoreStats {
 	inc.ensureVersion()
 	prob := func(v boolexpr.Var) float64 { return probs[v] }
@@ -359,13 +280,10 @@ func (inc *incState) roReconcile(candidates []boolexpr.Var, probs map[boolexpr.V
 				}
 				c.weights[i] = ws
 			}
-			c.dirtyExprs = make(map[int]bool)
+			clear(c.dirtyExprs)
 		}
 		if len(c.dirtyVars) > 0 {
-			dirty := sortedVarSet(c.dirtyVars)
-			best := make([]float64, len(dirty))
-			inc.parallelFill(len(dirty), func(i int) {
-				v := dirty[i]
+			for v := range c.dirtyVars {
 				var b float64
 				for _, ei := range inc.work.exprsWith(v) {
 					ws := c.weights[ei]
@@ -375,13 +293,10 @@ func (inc *incState) roReconcile(candidates []boolexpr.Var, probs map[boolexpr.V
 						}
 					}
 				}
-				best[i] = b
-			})
-			for i, v := range dirty {
-				c.bestW[v] = best[i]
+				c.bestW[v] = b
 			}
-			st.rescored, st.misses = len(dirty), len(dirty)
-			c.dirtyVars = make(map[boolexpr.Var]bool)
+			st.rescored, st.misses = len(c.dirtyVars), len(c.dirtyVars)
+			clear(c.dirtyVars)
 		}
 	}
 	st.hits = len(candidates) - st.misses
@@ -394,93 +309,6 @@ func (inc *incState) roReconcile(candidates []boolexpr.Var, probs map[boolexpr.V
 func (inc *incState) roScoreFn(probs map[boolexpr.Var]float64, alpha float64) func(boolexpr.Var) float64 {
 	bestW := inc.ro.bestW
 	return func(v boolexpr.Var) float64 { return roVarScore(probs[v], bestW[v], alpha) }
-}
-
-// rescoreInto computes fn for every variable (in parallel past the
-// threshold) and writes the results into dst. Results land positionally in
-// a slice first, so scheduling order never affects the outcome: the rescore
-// is deterministic for any worker count.
-func (inc *incState) rescoreInto(vars []boolexpr.Var, fn func(boolexpr.Var) float64, dst map[boolexpr.Var]float64) {
-	vals := make([]float64, len(vars))
-	inc.parallelFill(len(vars), func(i int) {
-		vals[i] = fn(vars[i])
-	})
-	for i, v := range vars {
-		dst[v] = vals[i]
-	}
-}
-
-// parallelFill invokes fn(i) for i in [0, n), fanning out across the
-// configured workers when n crosses the parallelism threshold. fn must
-// write only to position i of its output, keeping the fill deterministic.
-func (inc *incState) parallelFill(n int, fn func(i int)) {
-	workers := inc.workers
-	if workers > n {
-		workers = n
-	}
-	if n < rescoreParallelMin || workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next int64 = -1
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// parallelChunks invokes fn(lo, hi) over a partition of [0, n) into one
-// contiguous chunk per worker, serially below the parallelism threshold.
-// fn must write only into its own [lo, hi) range of any shared output, so
-// the fill is deterministic for any worker count.
-func (inc *incState) parallelChunks(n int, fn func(lo, hi int)) {
-	workers := inc.workers
-	if workers > n {
-		workers = n
-	}
-	if n < rescoreParallelMin || workers <= 1 {
-		if n > 0 {
-			fn(0, n)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// sortedVarSet returns the set's variables in ascending order.
-func sortedVarSet(set map[boolexpr.Var]bool) []boolexpr.Var {
-	out := make([]boolexpr.Var, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // insertSortedFloat inserts x into the ascending slice by binary search.

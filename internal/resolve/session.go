@@ -39,16 +39,11 @@ const (
 // per parallel dimension. The zero value of every field means "default"
 // (one worker per CPU); 1 forces serial execution. Each dimension is a
 // pure latency/throughput knob: trained models, utility scores and probe
-// choices are bit-identical for any worker counts.
+// choices are bit-identical for any worker counts. Component-shard
+// scoring has no knob: it runs on up to GOMAXPROCS workers.
 type Parallelism struct {
 	// Forest bounds forest-training parallelism in the Learner.
 	Forest int
-	// Rescore bounds the incremental rescore fan-out within one component
-	// shard (or across the whole workset when sharding is inactive).
-	Rescore int
-	// Shards bounds how many component shards run probe scoring
-	// concurrently within one selection round.
-	Shards int
 	// Engine bounds morsel-driven parallelism at query-evaluation time
 	// (the engine's streaming executor). It is consumed by the serving
 	// layer and the public DB.Query path, not by the resolution loop
@@ -106,41 +101,19 @@ type Config struct {
 	Obs *obs.Obs
 
 	// Parallel bounds worker fan-out per dimension (forest training,
-	// incremental rescore, component shards). Zero-valued fields default
-	// to one worker per CPU. It subsumes the deprecated ForestWorkers and
-	// RescoreWorkers fields, which are still honored when the matching
-	// Parallel field is zero.
+	// query evaluation). Zero-valued fields default to one worker per CPU.
 	Parallel Parallelism
 
 	// DisableIncremental turns off incremental scoring: every round then
-	// recomputes all probabilities and utility scores from scratch (and
-	// component sharding, which builds on the incremental caches, is off
-	// too). Incremental scoring is ON by default — probe choices are
+	// recomputes all probabilities and utility scores from scratch instead
+	// of scoring through the per-component shards and their caches.
+	// Incremental scoring is ON by default — probe choices are
 	// bit-identical either way, because the caches reuse the full path's
-	// arithmetic on unchanged inputs — so this switch exists only for
-	// benchmarking the speedup and as an escape hatch. Wire APIs expose
-	// the positive form ("incremental", default true) instead of this
-	// double negative.
+	// arithmetic on unchanged inputs — so the full recompute serves as the
+	// equivalence oracle and benchmark control. Wire APIs expose the
+	// positive form ("incremental", default true) instead of this double
+	// negative.
 	DisableIncremental bool
-	// DisableSharding turns off component-sharded probe selection: the
-	// workset is then scored as one monolithic unit even when it splits
-	// into variable-disjoint components. Probe choices are bit-identical
-	// with sharding on or off; the switch exists for benchmarking the
-	// sharded speedup and as an escape hatch.
-	DisableSharding bool
-	// RescoreWorkers bounds the parallelism of the incremental rescore
-	// (default GOMAXPROCS). Results are deterministic for any value.
-	//
-	// Deprecated: set Parallel.Rescore instead. Honored only when
-	// Parallel.Rescore is zero.
-	RescoreWorkers int
-	// ForestWorkers bounds forest-training parallelism in the Learner
-	// (0 = one worker per CPU, 1 = serial). Trained models — and hence
-	// probe choices — are bit-identical for any value.
-	//
-	// Deprecated: set Parallel.Forest instead. Honored only when
-	// Parallel.Forest is zero.
-	ForestWorkers int
 	// FullRetrain disables the Learner's warm-started retrain path (see
 	// LearnerConfig.FullRetrain); models are identical either way.
 	FullRetrain bool
@@ -165,14 +138,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	// The deprecated per-dimension worker fields feed the consolidated
-	// Parallelism struct, which explicit Parallel fields override.
-	if c.Parallel.Forest == 0 {
-		c.Parallel.Forest = c.ForestWorkers
-	}
-	if c.Parallel.Rescore == 0 {
-		c.Parallel.Rescore = c.RescoreWorkers
-	}
 	if c.SplitMaxTerms <= 0 {
 		c.SplitMaxTerms = 8
 	}
@@ -240,7 +205,8 @@ type Stats struct {
 	// ShardRoundsReused counts per-shard selection rounds served entirely
 	// from a shard's cached winner: the shard received no probe delta and
 	// the model did not retrain, so its previous argmax is still exact and
-	// scoring is skipped. Zero when component sharding is inactive.
+	// scoring is skipped. Zero on the full-recompute path
+	// (DisableIncremental) and for baselines, which build no shards.
 	ShardRoundsReused int
 	// Learner, LAL, Utility and Selector time each framework component
 	// per probe selection. Baselines populate the timers they exercise
@@ -332,7 +298,6 @@ type Session struct {
 	cfg      Config
 
 	work   *workset
-	inc    *incState           // incremental scoring caches; nil when disabled or sharded
 	val    *boolexpr.Valuation // accumulated answers for provenance variables
 	lalBuf []float64           // reused uncertainty-score buffer, one per round
 	rng    *rand.Rand
@@ -341,14 +306,13 @@ type Session struct {
 	obs    *obs.Obs
 	err    error
 
-	// shards are the per-component sub-resolutions when component-sharded
-	// selection is active (nil otherwise); varShard maps each candidate
-	// variable to the shard owning its component. componentCount and
-	// componentSig describe the workset's component structure at session
-	// start regardless of whether sharding activated.
+	// shards are the per-component sub-resolutions of the incremental
+	// path, one per component (nil on the full-recompute path); varShard
+	// maps each candidate variable to the shard owning its component.
+	// componentCount and componentSig describe the workset's component
+	// structure at session start regardless of the path.
 	shards         []*shard
 	varShard       map[boolexpr.Var]int
-	shardWorkers   int
 	scoredBuf      []*shard // per-round scratch for nextSharded's partition
 	componentCount int
 	componentSig   string
@@ -474,16 +438,13 @@ func NewSession(db *uncertain.DB, result *engine.Result, orc Oracle, repo *Repos
 	s.work = work
 
 	// Component structure: always derived (it labels the session for
-	// shard-group placement in serving mode); shards are only built when
-	// the configuration is eligible and the workset actually splits.
+	// shard-group placement in serving mode); shards, one per component,
+	// are built whenever the configuration runs the incremental path.
 	groups := boolexpr.Components(work.exprs)
 	s.componentCount = len(groups)
 	s.componentSig = componentSignature(work, groups)
-	switch {
-	case s.shardingEligible(groups):
+	if s.shardingEligible() {
 		s.buildShards(groups)
-	case !cfg.DisableIncremental:
-		s.inc = newIncState(work, s.learner, cfg.Parallel.Rescore, nil)
 	}
 	s.obs.Emit(obs.StageSplit, -1, splitStart, time.Since(splitStart),
 		obs.Int("parts", len(parts)),
@@ -497,8 +458,9 @@ func NewSession(db *uncertain.DB, result *engine.Result, orc Oracle, repo *Repos
 
 // Components reports how many variable-disjoint connected components the
 // working expressions formed at session start (0 when the session started
-// fully decided). Components share no variables, so they are resolved by
-// independent per-component score caches when sharding is active.
+// fully decided). Components share no variables, so the incremental path
+// scores each through its own shard — one shard per component, so a
+// one-component session has exactly one.
 func (s *Session) Components() int { return s.componentCount }
 
 // ComponentSignature is a stable fingerprint of the workset's component
@@ -620,8 +582,8 @@ func (s *Session) applyKnown(v boolexpr.Var, answer bool) error {
 }
 
 // noteDelta accounts one probe delta: the resimplification counters and
-// the incremental caches' dirty sets both feed off it. With sharding
-// active the delta routes to the one shard owning the probed variable —
+// the incremental caches' dirty sets both feed off it. On the incremental
+// path the delta routes to the one shard owning the probed variable —
 // components share no variables, so a probe can never touch another
 // shard's state.
 func (s *Session) noteDelta(d *probeDelta) {
@@ -629,9 +591,7 @@ func (s *Session) noteDelta(d *probeDelta) {
 	s.obs.Count("tuples_resimplified", int64(len(d.touched)))
 	if s.shards != nil {
 		s.shards[s.varShard[d.probed]].noteDelta(d)
-		return
 	}
-	s.inc.noteDelta(d)
 }
 
 // Pending returns the outstanding probe request, if any.

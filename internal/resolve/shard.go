@@ -13,20 +13,21 @@ import (
 	"qres/internal/obs"
 )
 
-// Component-sharded probe selection. The workset's connected components
-// share no variables (paper Section 6), so each one is scored by its own
-// shard — a per-component candidate list, incremental score cache and
-// cached winner — and the Probe Selector merges the per-shard argmaxes
-// under the global policy (highest combined score, ties to the smallest
-// variable). The merge is exact: the monolithic selector scans all
-// candidates ascending and keeps the first maximum, i.e. the smallest
-// variable of the global argmax set; that variable lives in some shard,
-// where it is also the shard winner, so merging shard winners by
-// (score desc, variable asc) returns exactly it. Probe choices are
-// therefore bit-identical to the unsharded path for any shard-worker
-// count, while wall-clock per round drops to the dirty shards' work: a
-// probe delta touches exactly one component, every other shard's caches —
-// and, between retrains, its winner — stay valid.
+// Component-sharded probe selection, the session's one incremental path.
+// The workset's connected components share no variables (paper Section
+// 6), so each one is scored by its own shard — a per-component candidate
+// list, incremental score cache and cached winner — and the Probe Selector
+// merges the per-shard argmaxes under the global policy (highest combined
+// score, ties to the smallest variable). A one-component workset gets one
+// shard. The merge is exact: the full recompute scans all candidates
+// ascending and keeps the first maximum, i.e. the smallest variable of the
+// global argmax set; that variable lives in some shard, where it is also
+// the shard winner, so merging shard winners by (score desc, variable asc)
+// returns exactly it. Probe choices are therefore bit-identical to the
+// full recompute for any GOMAXPROCS, while wall-clock per round drops to
+// the dirty shards' work: a probe delta touches exactly one component,
+// every other shard's caches — and, between retrains, its winner — stay
+// valid.
 
 // shard is one connected component's share of probe selection.
 type shard struct {
@@ -93,19 +94,16 @@ func scoreKindFor(util Utility, round int) (scoreKind, bool) {
 	return 0, false
 }
 
-// shardingEligible reports whether this configuration can run sharded
-// selection: a known utility (its score families are what the shards
-// cache), the incremental path on, and a workset that actually splits.
-// Baselines keep the monolithic path — Random draws from one global RNG
-// stream whose consumption order must not depend on shard structure.
-func (s *Session) shardingEligible(groups [][]int) bool {
-	if s.cfg.DisableSharding || s.cfg.DisableIncremental || s.cfg.Baseline != BaselineNone {
+// shardingEligible reports whether this configuration runs sharded
+// selection: the incremental path on and a known utility (its score
+// families are what the shards cache). Baselines have their own
+// strategies and never score through shards.
+func (s *Session) shardingEligible() bool {
+	if s.cfg.DisableIncremental || s.cfg.Baseline != BaselineNone {
 		return false
 	}
-	if _, ok := scoreKindFor(s.cfg.Utility, 0); !ok {
-		return false
-	}
-	return len(groups) > 1
+	_, ok := scoreKindFor(s.cfg.Utility, 0)
+	return ok
 }
 
 // buildShards materializes one shard per component and the variable→shard
@@ -125,12 +123,8 @@ func (s *Session) buildShards(groups [][]int) {
 			}
 		}
 		sort.Slice(sh.cands, func(i, j int) bool { return sh.cands[i] < sh.cands[j] })
-		sh.inc = newIncState(s.work, s.learner, s.cfg.Parallel.Rescore, g)
+		sh.inc = &incState{work: s.work, learner: s.learner, exprIDs: g}
 		s.shards[id] = sh
-	}
-	s.shardWorkers = s.cfg.Parallel.Shards
-	if s.shardWorkers <= 0 {
-		s.shardWorkers = runtime.GOMAXPROCS(0)
 	}
 }
 
@@ -159,7 +153,7 @@ func (sh *shard) dropCand(v boolexpr.Var) {
 
 // nextSharded is one probe-selection round over the component shards: the
 // framework sub-steps 4.1–4.3 run per shard (in parallel across up to
-// Parallel.Shards workers), then the per-shard winners merge under the
+// GOMAXPROCS workers), then the per-shard winners merge under the
 // global selector policy.
 func (s *Session) nextSharded(u utilityStrategy) (boolexpr.Var, error) {
 	kind, _ := scoreKindFor(u.util, s.round)
@@ -174,7 +168,7 @@ func (s *Session) nextSharded(u utilityStrategy) (boolexpr.Var, error) {
 	// so cached combined scores go stale even in clean shards. The scored
 	// buffer is reused across rounds: in steady state only the probed
 	// component rescans, and this loop must stay O(#shards) with no
-	// per-round allocation or it erases the win over the monolithic
+	// per-round allocation or it erases the win over the full
 	// O(#candidates) scan.
 	scored := s.scoredBuf[:0]
 	reused, total := 0, 0
@@ -196,7 +190,7 @@ func (s *Session) nextSharded(u utilityStrategy) (boolexpr.Var, error) {
 
 	// Sub-step 4.1a: probability estimation per shard (Learner).
 	s.component(obs.StageLearner, &s.stats.Learner, func() {
-		s.forEachShard(len(scored), func(i int) {
+		forEachShard(len(scored), func(i int) {
 			sh := scored[i]
 			sh.probs, sh.probHits, sh.probMiss = sh.inc.candidateProbs(sh.cands)
 		})
@@ -213,7 +207,7 @@ func (s *Session) nextSharded(u utilityStrategy) (boolexpr.Var, error) {
 	// weight cache (including decided shards with unreconciled removals,
 	// whose stale weights would otherwise pollute the multiset), then α
 	// derives from the k-way merged per-shard multisets — bit-identical to
-	// the monolithic multiset, because adjacent gaps depend only on the
+	// the full recompute's multiset, because adjacent gaps depend only on the
 	// merged values — and the per-shard score closures share it.
 	s.component(obs.StageUtility, &s.stats.Utility, func() {
 		if kind == kindRO {
@@ -223,7 +217,7 @@ func (s *Session) nextSharded(u utilityStrategy) (boolexpr.Var, error) {
 					reconcile = append(reconcile, sh)
 				}
 			}
-			s.forEachShard(len(reconcile), func(i int) {
+			forEachShard(len(reconcile), func(i int) {
 				sh := reconcile[i]
 				sh.scoreStat = sh.inc.roReconcile(sh.cands, sh.probs)
 			})
@@ -238,7 +232,7 @@ func (s *Session) nextSharded(u utilityStrategy) (boolexpr.Var, error) {
 				sh.score = sh.inc.roScoreFn(sh.probs, alpha)
 			}
 		} else {
-			s.forEachShard(len(scored), func(i int) {
+			forEachShard(len(scored), func(i int) {
 				sh := scored[i]
 				if kind == kindQValue {
 					sh.score, sh.scoreStat = sh.inc.qvalueScores(sh.cands, sh.probs)
@@ -259,10 +253,10 @@ func (s *Session) nextSharded(u utilityStrategy) (boolexpr.Var, error) {
 
 	// Sub-step 4.1b: uncertainty reduction (LAL), online mode only. The
 	// per-variable estimate is a pure function of the shared Learner state,
-	// so per-shard batches equal one monolithic batch.
+	// so per-shard batches equal one batch over every candidate.
 	if online {
 		s.component(obs.StageLAL, &s.stats.LAL, func() {
-			s.forEachShard(len(scored), func(i int) {
+			forEachShard(len(scored), func(i int) {
 				sh := scored[i]
 				sh.lalBuf = s.learner.UncertaintyBatch(sh.cands, sh.lalBuf)
 				sh.unc = sh.lalBuf
@@ -271,11 +265,11 @@ func (s *Session) nextSharded(u utilityStrategy) (boolexpr.Var, error) {
 	}
 
 	// Sub-step 4.3: per-shard argmax (ascending candidates, first maximum
-	// kept — the monolithic scan restricted to the shard), then the global
+	// kept — the full scan restricted to the shard), then the global
 	// merge by (combined score desc, variable asc).
 	var best boolexpr.Var
 	s.component(obs.StageSelector, &s.stats.Selector, func() {
-		s.forEachShard(len(scored), func(i int) {
+		forEachShard(len(scored), func(i int) {
 			sh := scored[i]
 			bestScore := 0.0
 			first := true
@@ -311,11 +305,11 @@ func (s *Session) nextSharded(u utilityStrategy) (boolexpr.Var, error) {
 	return best, nil
 }
 
-// forEachShard runs fn(i) for i in [0, n) across up to Parallel.Shards
+// forEachShard runs fn(i) for i in [0, n) across up to GOMAXPROCS
 // workers. fn must write only its own shard's state, which keeps every
 // round deterministic for any worker count.
-func (s *Session) forEachShard(n int, fn func(i int)) {
-	workers := s.shardWorkers
+func forEachShard(n int, fn func(i int)) {
+	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
 	}

@@ -55,13 +55,27 @@ func multiComponentWorkload(t testing.TB, comps, varsPer, exprsPer, maxTerms, ma
 	return udb, res
 }
 
-// Component-sharded selection must be invisible: for every utility and
-// learning mode, and for any shard-worker count, the probe sequence and
-// the resolved answer set must be bit-identical to the monolithic path.
+// The incremental path — one shard per connected component — must be
+// invisible: for every utility and learning mode, the probe sequence and
+// the resolved answer set must be bit-identical to the full recompute
+// (DisableIncremental), on multi-component worksets and on a
+// one-component workset, which gets exactly one shard. The shard pool
+// sizes itself from GOMAXPROCS, so worker-count coverage comes from
+// running this test under -cpu=1,2,4,8.
 func TestShardEquivalenceSynthetic(t *testing.T) {
-	for trial := int64(0); trial < 2; trial++ {
-		udb, res := multiComponentWorkload(t, 5, 12, 4, 4, 3, 5000+trial)
-		gt := uncertain.GenerateFixed(udb, 0.5, 5100+trial)
+	workloads := []struct {
+		name                     string
+		comps, varsPer, exprsPer int
+		oneComponent             bool
+		trial                    int64
+	}{
+		{name: "multi/trial0", comps: 5, varsPer: 12, exprsPer: 4, trial: 0},
+		{name: "multi/trial1", comps: 5, varsPer: 12, exprsPer: 4, trial: 1},
+		{name: "one-component", comps: 1, varsPer: 12, exprsPer: 16, oneComponent: true, trial: 2},
+	}
+	for _, wl := range workloads {
+		udb, res := multiComponentWorkload(t, wl.comps, wl.varsPer, wl.exprsPer, 4, 3, 5000+wl.trial)
+		gt := uncertain.GenerateFixed(udb, 0.5, 5100+wl.trial)
 
 		known := make(map[boolexpr.Var]float64)
 		for _, v := range res.UniqueVars() {
@@ -90,12 +104,12 @@ func TestShardEquivalenceSynthetic(t *testing.T) {
 			{Utility: General{}, Learning: LearnOnline, Trees: 5},
 		}
 		for _, cfg := range base {
-			cfg.Seed = trial
-			name := fmt.Sprintf("trial%d/%s", trial, cfg.Name())
+			cfg.Seed = wl.trial
+			name := fmt.Sprintf("%s/%s", wl.name, cfg.Name())
 
-			run := func(mutate func(*Config)) ([]boolexpr.Var, []RowStatus, *Stats, *Session) {
+			run := func(disable bool) ([]boolexpr.Var, []RowStatus, *Session) {
 				c := cfg
-				mutate(&c)
+				c.DisableIncremental = disable
 				rec := oracle.NewRecorder(oracle.NewGroundTruth(gt.Val))
 				sess, err := NewSession(udb, res, rec, seedRepo.Clone(), c)
 				if err != nil {
@@ -104,28 +118,27 @@ func TestShardEquivalenceSynthetic(t *testing.T) {
 				if _, err := sess.Run(); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				return rec.Probes(), sess.Snapshot(), sess.Stats(), sess
+				return rec.Probes(), sess.Snapshot(), sess
 			}
 
-			monoProbes, monoSnap, _, mono := run(func(c *Config) { c.DisableSharding = true })
-			if mono.shards != nil {
-				t.Fatalf("%s: DisableSharding session built shards", name)
+			fullProbes, fullSnap, full := run(true)
+			if full.shards != nil {
+				t.Fatalf("%s: DisableIncremental session built shards", name)
 			}
-			if mono.Components() < 2 {
-				t.Fatalf("%s: workload has %d components; need >= 2", name, mono.Components())
+			probes, snap, sess := run(false)
+			switch {
+			case wl.oneComponent && sess.Components() != 1:
+				t.Fatalf("%s: workload has %d components; need exactly 1", name, sess.Components())
+			case !wl.oneComponent && sess.Components() < 2:
+				t.Fatalf("%s: workload has %d components; need >= 2", name, sess.Components())
+			case len(sess.shards) != sess.Components():
+				t.Fatalf("%s: %d shards for %d components", name, len(sess.shards), sess.Components())
 			}
-			for _, workers := range []int{0, 1, 2, 8} {
-				probes, snap, _, sess := run(func(c *Config) { c.Parallel.Shards = workers })
-				if sess.shards == nil {
-					t.Fatalf("%s: sharding did not engage", name)
-				}
-				if !reflect.DeepEqual(monoProbes, probes) {
-					t.Fatalf("%s: probe sequence diverged at %d shard workers\nmono: %v\nshard: %v",
-						name, workers, monoProbes, probes)
-				}
-				if !reflect.DeepEqual(monoSnap, snap) {
-					t.Fatalf("%s: answer set diverged at %d shard workers", name, workers)
-				}
+			if !reflect.DeepEqual(fullProbes, probes) {
+				t.Fatalf("%s: probe sequence diverged\nfull:  %v\nshard: %v", name, fullProbes, probes)
+			}
+			if !reflect.DeepEqual(fullSnap, snap) {
+				t.Fatalf("%s: answer set diverged", name)
 			}
 		}
 	}
@@ -170,8 +183,7 @@ func TestShardConcurrentSharedRepository(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cfg := Config{Utility: General{}, Learning: LearnEP, Seed: int64(i),
-				Parallel: Parallelism{Shards: 1 + i%4}}
+			cfg := Config{Utility: General{}, Learning: LearnEP, Seed: int64(i)}
 			if i%2 == 0 {
 				cfg.Utility = RO{}
 			}
@@ -212,7 +224,7 @@ func TestShardConcurrentSharedRepository(t *testing.T) {
 }
 
 // Configurations outside the sharded path's contract must fall back to
-// monolithic selection — and still resolve correctly.
+// the full recompute — and still resolve correctly.
 func TestShardIneligibleConfigs(t *testing.T) {
 	udb, res := multiComponentWorkload(t, 4, 10, 3, 3, 3, 8100)
 	gt := uncertain.GenerateFixed(udb, 0.5, 8101)
@@ -222,7 +234,6 @@ func TestShardIneligibleConfigs(t *testing.T) {
 	}{
 		{"baseline random", Config{Baseline: BaselineRandom}},
 		{"incremental off", Config{Utility: General{}, Learning: LearnEP, DisableIncremental: true}},
-		{"sharding off", Config{Utility: General{}, Learning: LearnEP, DisableSharding: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -322,13 +333,12 @@ func TestShardMergedWeightStats(t *testing.T) {
 }
 
 // BenchmarkShardStepSynthetic measures per-probe wall time on a wide
-// multi-component synthetic workset, monolithic versus sharded at
-// 1/2/4/8 shard workers. With a stable Learner version and a cacheable
-// score kind every round, the monolithic path still rebuilds its
-// candidate scan over the whole workset per probe while the sharded path
-// rescans only the probed component and serves the rest from cached
-// winners — this is the workload class results/BENCH_shard.json pins the
-// >=1.5x 4-worker speedup target on.
+// multi-component synthetic workset, the full recompute (the oracle)
+// versus the sharded incremental path. With a stable Learner version and a
+// cacheable score kind every round, the full path rescores every candidate
+// per probe while the sharded path rescans only the probed component and
+// serves the rest from cached winners. The shard pool sizes itself from
+// GOMAXPROCS: run with -cpu=1,2,4,8 for the worker curve.
 func BenchmarkShardStepSynthetic(b *testing.B) {
 	udb, res := multiComponentWorkload(b, 400, 12, 5, 5, 2, 9000)
 	gt := uncertain.GenerateFixed(udb, 0.5, 9100)
@@ -341,11 +351,8 @@ func BenchmarkShardStepSynthetic(b *testing.B) {
 		name   string
 		mutate func(*Config)
 	}{
-		{"monolithic", func(c *Config) { c.DisableSharding = true }},
-		{"shards-1", func(c *Config) { c.Parallel.Shards = 1 }},
-		{"shards-2", func(c *Config) { c.Parallel.Shards = 2 }},
-		{"shards-4", func(c *Config) { c.Parallel.Shards = 4 }},
-		{"shards-8", func(c *Config) { c.Parallel.Shards = 8 }},
+		{"full", func(c *Config) { c.DisableIncremental = true }},
+		{"sharded", func(c *Config) {}},
 	}
 	for _, mode := range modes {
 		b.Run(mode.name, func(b *testing.B) {

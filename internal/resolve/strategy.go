@@ -107,56 +107,31 @@ func (u utilityStrategy) Name() string {
 func (u utilityStrategy) NeedsCNF() bool { return u.util.NeedsCNF() }
 
 func (u utilityStrategy) next(s *Session, candidates []boolexpr.Var) (boolexpr.Var, error) {
-	// Component-sharded selection: when the workset splits into multiple
-	// connected components, each runs Steps 4.1–4.3 on its own shard and
-	// the winners merge under the same selector policy (see shard.go).
+	// The incremental path: every connected component runs Steps 4.1–4.3
+	// on its own shard and the winners merge under the same selector
+	// policy (see shard.go).
 	if s.shards != nil {
 		return s.nextSharded(u)
 	}
-	// Sub-step 4.1a: probability estimation, timed as "Learner". With the
-	// incremental path, estimates are served from the per-version cache and
-	// only new (or model-invalidated) candidates hit the classifier.
+	// The full recompute below is the incremental path's equivalence
+	// oracle (DisableIncremental). Sub-step 4.1a: probability estimation,
+	// timed as "Learner".
 	var probs map[boolexpr.Var]float64
 	s.component(obs.StageLearner, &s.stats.Learner, func() {
-		if s.inc != nil {
-			var hits, misses int
-			probs, hits, misses = s.inc.candidateProbs(candidates)
-			s.stats.ProbCacheHits += hits
-			s.stats.ProbCacheMisses += misses
-			s.obs.Count("prob_cache_hits", int64(hits))
-			s.obs.Count("prob_cache_misses", int64(misses))
-		} else {
-			probs = make(map[boolexpr.Var]float64, len(candidates))
-			for _, v := range candidates {
-				probs[v] = s.learner.Prob(v)
-			}
-			s.stats.ProbCacheMisses += len(candidates)
-			s.obs.Count("prob_cache_misses", int64(len(candidates)))
+		probs = make(map[boolexpr.Var]float64, len(candidates))
+		for _, v := range candidates {
+			probs[v] = s.learner.Prob(v)
 		}
+		s.stats.ProbCacheMisses += len(candidates)
+		s.obs.Count("prob_cache_misses", int64(len(candidates)))
 	}, obs.Int("candidates", len(candidates)))
 
 	// Sub-step 4.2: utility computation, timed under the utility's name.
-	// The incremental path rescores only the variables whose surroundings
-	// changed since the last round; probe choices stay bit-identical to the
-	// full recompute because both paths share their arithmetic.
-	var score func(boolexpr.Var) float64
+	var scores map[boolexpr.Var]float64
 	s.component(obs.StageUtility, &s.stats.Utility, func() {
-		if s.inc != nil {
-			if fn, st, ok := s.inc.scores(u.util, candidates, probs, s.round); ok {
-				score = fn
-				s.stats.VarsRescored += st.rescored
-				s.stats.ScoreCacheHits += st.hits
-				s.stats.ScoreCacheMisses += st.misses
-				s.obs.Count("vars_rescored", int64(st.rescored))
-				s.obs.Count("score_cache_hits", int64(st.hits))
-				s.obs.Count("score_cache_misses", int64(st.misses))
-				return
-			}
-		}
-		scores := u.util.Scores(s.work,
+		scores = u.util.Scores(s.work,
 			func(v boolexpr.Var) float64 { return probs[v] },
 			candidates, s.round)
-		score = func(v boolexpr.Var) float64 { return scores[v] }
 		s.stats.VarsRescored += len(candidates)
 		s.stats.ScoreCacheMisses += len(candidates)
 		s.obs.Count("vars_rescored", int64(len(candidates)))
@@ -188,7 +163,7 @@ func (u utilityStrategy) next(s *Session, candidates []boolexpr.Var) (boolexpr.V
 			if uncertainty != nil {
 				unc = uncertainty[i]
 			}
-			f := u.combine.Eval(score(v), unc)
+			f := u.combine.Eval(scores[v], unc)
 			if s.cfg.CostAware {
 				f /= s.cost(v)
 			}

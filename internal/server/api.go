@@ -30,27 +30,18 @@ type CreateSessionRequest struct {
 	// dimension. Omitted dimensions (or the whole object) default to one
 	// worker per CPU; results are bit-identical for any combination.
 	Parallelism *ParallelismJSON `json:"parallelism,omitempty"`
-	// Incremental toggles the incremental scoring caches (and with them
-	// component-sharded selection). Omitted means on; probe choices are
-	// identical either way, so switching it off is purely diagnostic.
+	// Incremental toggles the incremental path: per-component shards with
+	// their scoring caches. Omitted means on; probe choices are identical
+	// either way, so switching it off is purely diagnostic.
 	Incremental *bool `json:"incremental,omitempty"`
-	// ForestWorkers bounds forest-training parallelism (0 = one worker
-	// per CPU, 1 = serial).
-	//
-	// Deprecated: set Parallelism.Forest instead. Honored only when
-	// Parallelism leaves the forest dimension unset.
-	ForestWorkers int `json:"forest_workers,omitempty"`
 }
 
 // ParallelismJSON is the wire form of the per-dimension worker bounds
-// (zero = one worker per CPU, 1 = serial).
+// (zero = one worker per CPU, 1 = serial). Per-component probe scoring
+// has no bound: it runs on up to GOMAXPROCS workers.
 type ParallelismJSON struct {
 	// Forest bounds forest-training parallelism in the Learner.
 	Forest int `json:"forest,omitempty"`
-	// Rescore bounds incremental-rescore parallelism in the utility caches.
-	Rescore int `json:"rescore,omitempty"`
-	// Shards bounds how many connected components are scored concurrently.
-	Shards int `json:"shards,omitempty"`
 	// Engine bounds morsel-driven parallelism when the session's query is
 	// evaluated. Results are bit-identical for any value.
 	Engine int `json:"engine,omitempty"`
@@ -70,8 +61,8 @@ type SessionInfo struct {
 	KnownReused int  `json:"known_reused"`
 	Done        bool `json:"done"`
 	// Components is the number of variable-disjoint connected components
-	// the session's provenance splits into (each resolved by its own shard
-	// when there is more than one).
+	// the session's provenance splits into (each resolved by its own
+	// shard).
 	Components int `json:"components"`
 	// ComponentGroup fingerprints the component structure; sessions over
 	// the same query and repository state share a group and are co-located

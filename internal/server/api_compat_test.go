@@ -3,6 +3,8 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -114,51 +116,49 @@ func TestErrorCodeContract(t *testing.T) {
 	}
 }
 
-// The create API accepts both the deprecated flat worker fields and the
-// new nested parallelism object, and SessionInfo always emits the new
-// shape with deprecated fields folded in.
+// The parallelism object has exactly two dimensions, forest and engine.
+// Create requests that still carry the removed worker fields (the
+// fixtures in testdata/removed_worker_fields.json) succeed with those
+// fields ignored — the decoder is not strict, and worker counts never
+// change results — and SessionInfo emits only the two dimensions.
 func TestParallelismFieldCompat(t *testing.T) {
 	_, base := startServer(t, Config{})
 
-	// Old shape: flat forest_workers still parses and is folded into the
-	// emitted parallelism object.
-	st, body := postRaw(t, base+"/v1/sessions",
-		`{"query": "SELECT Organization FROM Roles", "strategy": "general", "learning": "offline", "trees": 5, "forest_workers": 3}`)
-	if st != http.StatusCreated {
-		t.Fatalf("create with forest_workers: status %d (%v)", st, body)
+	raw, err := os.ReadFile("testdata/removed_worker_fields.json")
+	if err != nil {
+		t.Fatal(err)
 	}
-	par, ok := body["parallelism"].(map[string]any)
-	if !ok {
-		t.Fatalf("SessionInfo missing parallelism object: %v", body)
+	var fixtures []struct {
+		Name        string          `json:"name"`
+		Request     json.RawMessage `json:"request"`
+		Parallelism map[string]any  `json:"parallelism"`
 	}
-	if f, _ := par["forest"].(float64); int(f) != 3 {
-		t.Errorf("deprecated forest_workers=3 not folded into parallelism.forest: %v", par)
+	if err := json.Unmarshal(raw, &fixtures); err != nil {
+		t.Fatal(err)
 	}
-
-	// New shape: nested parallelism round-trips, and the new field wins
-	// when both are present.
-	st, body = postRaw(t, base+"/v1/sessions",
-		`{"query": "SELECT Organization FROM Roles", "strategy": "general", "learning": "offline", "trees": 5, "forest_workers": 3, "parallelism": {"forest": 2, "shards": 1}}`)
-	if st != http.StatusCreated {
-		t.Fatalf("create with parallelism: status %d (%v)", st, body)
-	}
-	par, _ = body["parallelism"].(map[string]any)
-	if f, _ := par["forest"].(float64); int(f) != 2 {
-		t.Errorf("parallelism.forest should win over forest_workers: %v", par)
-	}
-	if s, _ := par["shards"].(float64); int(s) != 1 {
-		t.Errorf("parallelism.shards not echoed: %v", par)
-	}
-	if g, _ := body["component_group"].(string); len(g) != 16 {
-		t.Errorf("component_group not a 16-hex signature: %q", g)
-	}
-	if c, _ := body["components"].(float64); c < 1 {
-		t.Errorf("components not reported: %v", body["components"])
+	for _, fx := range fixtures {
+		st, body := postRaw(t, base+"/v1/sessions", string(fx.Request))
+		if st != http.StatusCreated {
+			t.Fatalf("%s: status %d (%v)", fx.Name, st, body)
+		}
+		par, ok := body["parallelism"].(map[string]any)
+		if !ok {
+			t.Fatalf("%s: SessionInfo missing parallelism object: %v", fx.Name, body)
+		}
+		if !reflect.DeepEqual(par, fx.Parallelism) {
+			t.Errorf("%s: parallelism = %v, want %v", fx.Name, par, fx.Parallelism)
+		}
+		if g, _ := body["component_group"].(string); len(g) != 16 {
+			t.Errorf("%s: component_group not a 16-hex signature: %q", fx.Name, g)
+		}
+		if c, _ := body["components"].(float64); c < 1 {
+			t.Errorf("%s: components not reported: %v", fx.Name, body["components"])
+		}
 	}
 
 	// incremental: false is accepted (sessions fall back to full rescans;
 	// resolution behavior is covered by the resolve-level equivalence tests).
-	st, body = postRaw(t, base+"/v1/sessions",
+	st, body := postRaw(t, base+"/v1/sessions",
 		`{"query": "SELECT Organization FROM Roles", "incremental": false}`)
 	if st != http.StatusCreated {
 		t.Fatalf("create with incremental=false: status %d (%v)", st, body)

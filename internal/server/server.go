@@ -198,14 +198,17 @@ func (s *Server) Serve(ln net.Listener) error {
 }
 
 // Shutdown gracefully stops the service: in-flight handlers drain (via
-// http.Server.Shutdown when Serve is running), the janitor stops, and the
-// shared repository is snapshotted atomically with the WAL flushed and
-// reset — after Shutdown the snapshot alone reproduces every acknowledged
-// answer.
+// http.Server.Shutdown when Serve is running) until ctx's deadline, and
+// whatever connections remain are then force-closed — net/http treats a
+// connection that never sent a request as busy for 5 s, so a spare
+// client connection alone would otherwise outlast any shorter deadline.
+// The janitor stops, and the shared repository is snapshotted atomically
+// with the WAL flushed and reset — after Shutdown the snapshot alone
+// reproduces every acknowledged answer. The error reports only the
+// snapshot and the store close; a drain cut short by ctx is not an error.
 func (s *Server) Shutdown(ctx context.Context) error {
-	var err error
-	if s.httpServer != nil {
-		err = s.httpServer.Shutdown(ctx)
+	if s.httpServer != nil && s.httpServer.Shutdown(ctx) != nil {
+		s.httpServer.Close()
 	}
 	select {
 	case <-s.sweepStop:
@@ -213,13 +216,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		close(s.sweepStop)
 	}
 	<-s.sweepDone
-	if s.store != nil {
-		if serr := s.store.Snapshot(s.repo); serr != nil && err == nil {
-			err = serr
-		}
-		if cerr := s.store.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
+	if s.store == nil {
+		return nil
+	}
+	err := s.store.Snapshot(s.repo)
+	if cerr := s.store.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }
@@ -285,7 +287,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		name:     cfg.Name(),
 		scope:    scope,
 		group:    inner.ComponentSignature(),
-		par:      effectiveParallelism(cfg),
+		par:      ParallelismJSON{Forest: cfg.Parallel.Forest, Engine: cfg.Parallel.Engine},
 		done:     inner.Done(),
 	}
 	if err := s.mgr.add(sess); err != nil {
@@ -490,25 +492,6 @@ func (s *Server) infoLocked(sess *session) SessionInfo {
 	}
 }
 
-// effectiveParallelism renders the worker bounds a config resolves to on
-// the wire — the deprecated forest_workers field folds into the new shape,
-// so responses always emit the current contract.
-func effectiveParallelism(cfg resolve.Config) ParallelismJSON {
-	p := ParallelismJSON{
-		Forest:  cfg.Parallel.Forest,
-		Rescore: cfg.Parallel.Rescore,
-		Shards:  cfg.Parallel.Shards,
-		Engine:  cfg.Parallel.Engine,
-	}
-	if p.Forest == 0 {
-		p.Forest = cfg.ForestWorkers
-	}
-	if p.Rescore == 0 {
-		p.Rescore = cfg.RescoreWorkers
-	}
-	return p
-}
-
 // tupleValues renders the referenced tuple's column values.
 func (s *Server) tupleValues(ref uncertain.TupleRef) []string {
 	rel, ok := s.udb.Data().Relation(ref.Relation)
@@ -525,15 +508,11 @@ func (s *Server) tupleValues(ref uncertain.TupleRef) []string {
 
 // sessionConfig maps API names onto a resolve.Config (the same taxonomy
 // the public qres options use). def is the server's default worker bounds
-// for requests without a parallelism object; the deprecated forest_workers
-// field is still honored when that object leaves the dimension unset.
+// for requests without a parallelism object.
 func sessionConfig(req CreateSessionRequest, def resolve.Parallelism) (resolve.Config, error) {
-	cfg := resolve.Config{Seed: req.Seed, Trees: req.Trees,
-		ForestWorkers: req.ForestWorkers, Parallel: def}
+	cfg := resolve.Config{Seed: req.Seed, Trees: req.Trees, Parallel: def}
 	if p := req.Parallelism; p != nil {
-		cfg.Parallel = resolve.Parallelism{
-			Forest: p.Forest, Rescore: p.Rescore, Shards: p.Shards, Engine: p.Engine,
-		}
+		cfg.Parallel = resolve.Parallelism{Forest: p.Forest, Engine: p.Engine}
 	}
 	if req.Incremental != nil && !*req.Incremental {
 		cfg.DisableIncremental = true

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"qres/internal/boolexpr"
 	"qres/internal/engine"
 	"qres/internal/resolve"
 	"qres/internal/sqlparse"
@@ -642,4 +643,109 @@ func TestConcurrentSessions(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+}
+
+// A connection that never sends a request must not hold Shutdown past the
+// caller's deadline: net/http counts such a connection as busy for 5 s,
+// so Shutdown drains until the deadline, force-closes what remains, and
+// still snapshots the store. Every acknowledged answer must survive the
+// reopen.
+func TestShutdownForceClosesIdleConnections(t *testing.T) {
+	dir := t.TempDir()
+	udb := testdb.PaperUncertainDB()
+	gt := uncertain.GenerateFixed(udb, 0.5, 11)
+	opts := store.Options{NameFn: udb.Registry().Name, ResolveFn: udb.Registry().Lookup}
+
+	st, repo, err := store.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{DB: udb, Repo: repo, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := acceptSignal{Listener: inner, again: make(chan struct{}, 1)}
+	go srv.Serve(ln) //nolint:errcheck // returns ErrServerClosed on Shutdown
+	base := "http://" + ln.Addr().String()
+
+	var info SessionInfo
+	mustJSON(t, "POST", base+"/v1/sessions",
+		CreateSessionRequest{Query: paperSQL, Strategy: "general", Learning: "ep", Seed: 5}, &info, http.StatusCreated)
+	acked := make(map[boolexpr.Var]bool)
+	for len(acked) < 3 {
+		var pr ProbeResponse
+		mustJSON(t, "GET", base+"/v1/sessions/"+info.ID+"/probe", nil, &pr, http.StatusOK)
+		if pr.Done {
+			break
+		}
+		ans, err := gtAnswer(udb, gt, pr.Probe.Table, pr.Probe.Index)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustJSON(t, "POST", base+"/v1/sessions/"+info.ID+"/answer",
+			AnswerRequest{Table: pr.Probe.Table, Index: pr.Probe.Index, Answer: ans}, nil, http.StatusOK)
+		v, _ := udb.VarFor(pr.Probe.Table, pr.Probe.Index)
+		acked[v] = ans
+	}
+	if len(acked) == 0 {
+		t.Fatal("no answer acknowledged before shutdown")
+	}
+
+	select {
+	case <-ln.again:
+	default:
+	}
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Serve asks for the next connection only after tracking this one as
+	// StateNew.
+	select {
+	case <-ln.again:
+	case <-time.After(5 * time.Second):
+		t.Fatal("server never accepted the idle connection")
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("shutdown took %v with an idle connection open, want < 1s", d)
+	}
+
+	st2, repo2, err := store.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	for v, want := range acked {
+		if got, ok := repo2.Answer(v); !ok || got != want {
+			t.Errorf("acknowledged answer for var %d: got (%t, %t), want (%t, true)", v, got, ok, want)
+		}
+	}
+}
+
+// acceptSignal signals each time Serve asks for another connection:
+// net/http tracks an accepted connection before it calls Accept again, so
+// a signal means every connection accepted earlier is tracked.
+type acceptSignal struct {
+	net.Listener
+	again chan struct{}
+}
+
+func (l acceptSignal) Accept() (net.Conn, error) {
+	select {
+	case l.again <- struct{}{}:
+	default:
+	}
+	return l.Listener.Accept()
 }

@@ -7,10 +7,8 @@ import (
 	"qres"
 )
 
-// WithParallelism and the deprecated per-dimension wrappers must produce
-// identical resolutions: the consolidated option is a pure re-plumbing of
-// the same knobs, and bit-identical results for any worker count is part
-// of its contract.
+// WithParallelism must not change resolutions: bit-identical results for
+// any worker count is part of its contract.
 func TestWithParallelismEquivalence(t *testing.T) {
 	run := func(opts ...qres.Option) *qres.Resolution {
 		db := buildPaperDB(t)
@@ -31,10 +29,9 @@ func TestWithParallelismEquivalence(t *testing.T) {
 
 	base := run()
 	cases := map[string][]qres.Option{
-		"deprecated wrapper":  {qres.WithForestWorkers(2)},
 		"consolidated option": {qres.WithParallelism(qres.Parallelism{Forest: 2})},
-		"serial everything":   {qres.WithParallelism(qres.Parallelism{Forest: 1, Rescore: 1, Shards: 1})},
-		"wide everything":     {qres.WithParallelism(qres.Parallelism{Forest: 4, Rescore: 4, Shards: 8})},
+		"serial everything":   {qres.WithParallelism(qres.Parallelism{Forest: 1, Engine: 1})},
+		"wide everything":     {qres.WithParallelism(qres.Parallelism{Forest: 4, Engine: 8})},
 	}
 	for name, opts := range cases {
 		out := run(opts...)

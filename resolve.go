@@ -111,15 +111,11 @@ func WithTrees(n int) Option {
 // session. The zero value of every dimension means one worker per CPU; 1
 // means serial. Results — trained models, probe sequences, resolved answer
 // sets — are bit-identical for any combination of worker counts, so these
-// knobs trade only latency, never outcomes.
+// knobs trade only latency, never outcomes. Per-component probe scoring
+// has no knob: it runs on up to GOMAXPROCS workers.
 type Parallelism struct {
 	// Forest bounds forest-training parallelism in the Learner.
 	Forest int
-	// Rescore bounds incremental-rescore parallelism in the utility caches.
-	Rescore int
-	// Shards bounds how many connected components are scored concurrently
-	// when the workset splits (component-sharded probe selection).
-	Shards int
 	// Engine bounds morsel-driven parallelism in query evaluation
 	// (DB.Query and the serving path): 0 = one worker per CPU, 1 =
 	// serial streaming execution. Like every other dimension the results
@@ -129,29 +125,12 @@ type Parallelism struct {
 }
 
 // WithParallelism bounds every parallel dimension of the session in one
-// option, replacing the per-dimension options (WithForestWorkers, ...).
-// Dimensions left at zero default to one worker per CPU.
+// option. Dimensions left at zero default to one worker per CPU.
 func WithParallelism(p Parallelism) Option {
 	return func(o *options) {
 		o.parSet = true
-		o.cfg.Parallel = resolve.Parallelism{
-			Forest:  p.Forest,
-			Rescore: p.Rescore,
-			Shards:  p.Shards,
-			Engine:  p.Engine,
-		}
+		o.cfg.Parallel = resolve.Parallelism{Forest: p.Forest, Engine: p.Engine}
 	}
-}
-
-// WithForestWorkers bounds forest-training parallelism in the Learner
-// (0 = one worker per CPU, 1 = serial). Trained models — and hence probe
-// sequences — are bit-identical for any value, so the knob trades only
-// training latency, never results.
-//
-// Deprecated: use WithParallelism(Parallelism{Forest: n}). This wrapper is
-// honored only while Parallelism's Forest dimension is unset.
-func WithForestWorkers(n int) Option {
-	return func(o *options) { o.cfg.ForestWorkers = n }
 }
 
 // WithSeed fixes the random seed, making the probe sequence deterministic.

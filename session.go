@@ -164,8 +164,8 @@ func (s *Session) Probes() int { return s.inner.Stats().Probes }
 
 // Components returns the number of connected components the session's
 // undecided provenance splits into. Components share no variables, so each
-// is resolved by its own shard when there is more than one (see
-// WithParallelism's Shards dimension).
+// is scored by its own shard — a one-component session has one shard —
+// and shards are scored concurrently on up to GOMAXPROCS workers.
 func (s *Session) Components() int { return s.inner.Components() }
 
 // ComponentSignature fingerprints the session's component structure. Two
