@@ -16,31 +16,12 @@ import (
 
 	"qres/internal/datagen"
 	"qres/internal/obs"
-	"qres/internal/resolve"
 	"qres/internal/server"
 	"qres/internal/stats"
 	"qres/internal/store"
 	"qres/internal/testdb"
 	"qres/internal/uncertain"
 )
-
-// openHarnessStore opens the configured persistence engine for the
-// in-process server, so the durable answer path is part of what the
-// harness measures.
-func openHarnessStore(cfg harnessConfig, udb *uncertain.DB, reg *obs.Registry) (server.ProbeStore, *resolve.Repository, error) {
-	switch cfg.StoreEngine {
-	case "segmented", "":
-		return store.Open(cfg.StoreDir, store.Options{
-			NameFn:    udb.Registry().Name,
-			ResolveFn: udb.Registry().Lookup,
-			Metrics:   reg,
-		})
-	case "flat":
-		return resolve.OpenStore(cfg.StoreDir, udb.Registry().Name, udb.Registry().Lookup)
-	default:
-		return nil, nil, fmt.Errorf("unknown store engine %q (want segmented or flat)", cfg.StoreEngine)
-	}
-}
 
 // paperSQL is the paper's Figure 2 query, the workset for -data paper.
 const paperSQL = `
@@ -83,13 +64,9 @@ type harnessConfig struct {
 	// repository there (ignored with Addr), putting the durable answer
 	// path — WAL append + fsync per answer — inside the measured latency.
 	StoreDir string
-	// StoreEngine picks the in-process persistence engine: "segmented"
-	// (default, group-committed segmented WAL) or "flat" (per-append-fsync
-	// JSONL) — the A/B knob behind results/BENCH_store.json.
-	StoreEngine string
-	Scrape      time.Duration
-	Seed        int64
-	Label       string
+	Scrape   time.Duration
+	Seed     int64
+	Label    string
 }
 
 // report is one harness run: client-observed latency and throughput plus
@@ -358,7 +335,11 @@ func runHarness(cfg harnessConfig) (*report, error) {
 			Registry:    obs.NewRegistry(),
 		}
 		if cfg.StoreDir != "" {
-			st, repo, err := openHarnessStore(cfg, udb, scfg.Registry)
+			st, repo, err := store.Open(cfg.StoreDir, store.Options{
+				NameFn:    udb.Registry().Name,
+				ResolveFn: udb.Registry().Lookup,
+				Metrics:   scfg.Registry,
+			})
 			if err != nil {
 				return nil, err
 			}

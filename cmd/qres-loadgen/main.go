@@ -41,7 +41,6 @@ func main() {
 		engineW   = flag.Int("engine-workers", 0, "engine workers per session query evaluation (0: server default, 1: serial)")
 		sessions  = flag.Int("max-sessions", 64, "in-process server session cap (drives 429 backpressure)")
 		storeDir  = flag.String("store-dir", "", "persist the in-process server's repository here (measures the durable answer path)")
-		storeEng  = flag.String("store-engine", "segmented", "in-process persistence engine: segmented | flat")
 		scrape    = flag.Duration("scrape", 2*time.Second, "/metrics scrape interval")
 		seed      = flag.Int64("seed", 1, "seed for arrival jitter, query mix and synthetic answers")
 		out       = flag.String("out", "results/BENCH_serve.json", "bench results file (empty: don't write)")
@@ -63,7 +62,6 @@ func main() {
 		EngineWorkers: *engineW,
 		MaxSessions:   *sessions,
 		StoreDir:      *storeDir,
-		StoreEngine:   *storeEng,
 		Scrape:        *scrape,
 		Seed:          *seed,
 		Label:         *label,

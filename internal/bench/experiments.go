@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"qres/internal/boolexpr"
+	"qres/internal/obs"
 	"qres/internal/resolve"
 	"qres/internal/stats"
 )
@@ -147,40 +148,43 @@ func Table4(sc Scale, seed int64) (*Report, error) {
 	w = w.Subset(rowCap(sc), stats.SubSeed(seed, 5))
 
 	// Q-Value+LAL exercises Learner, LAL, the Q-Value utility and the
-	// Selector in one run.
-	_, qvStats, err := w.RunConfig(resolve.Config{
-		Utility: resolve.QValue{}, Learning: resolve.LearnOnline, Trees: sc.Trees,
-	}, sc.InitialProbes, stats.SubSeed(seed, 6))
-	if err != nil {
-		return nil, err
-	}
-	// Separate runs time the CNF-free utilities.
-	_, genStats, err := w.RunConfig(resolve.Config{
-		Utility: resolve.General{}, Learning: resolve.LearnOffline, Trees: sc.Trees,
-	}, sc.InitialProbes, stats.SubSeed(seed, 7))
-	if err != nil {
-		return nil, err
-	}
-	_, roStats, err := w.RunConfig(resolve.Config{
-		Utility: resolve.RO{}, Learning: resolve.LearnOffline, Trees: sc.Trees,
-	}, sc.InitialProbes, stats.SubSeed(seed, 8))
-	if err != nil {
-		return nil, err
+	// Selector in one run; separate runs time the CNF-free utilities. The
+	// runs share one registry, told apart by their configuration label.
+	reg := obs.NewRegistry()
+	o := obs.New("", nil, reg)
+	qv := resolve.Config{Utility: resolve.QValue{}, Learning: resolve.LearnOnline}
+	gen := resolve.Config{Utility: resolve.General{}, Learning: resolve.LearnOffline}
+	ro := resolve.Config{Utility: resolve.RO{}, Learning: resolve.LearnOffline}
+	probes := make(map[string]int)
+	for i, cfg := range []resolve.Config{qv, gen, ro} {
+		cfg.Trees, cfg.Obs = sc.Trees, o
+		n, _, err := w.RunConfig(cfg, sc.InitialProbes, stats.SubSeed(seed, 6+i))
+		if err != nil {
+			return nil, err
+		}
+		probes[cfg.Name()] = n
 	}
 
-	add := func(label string, s stats.Summary) {
+	rows := []stageRow{
+		{"Learner", obs.StageLearner, qv.Name()},
+		{"LAL", obs.StageLAL, qv.Name()},
+		{"Q-Value", obs.StageUtility, qv.Name()},
+		{"General", obs.StageUtility, gen.Name()},
+		{"RO", obs.StageUtility, ro.Name()},
+		{"Selector", obs.StageSelector, qv.Name()},
+	}
+	for i, h := range stageTimings(reg, rows) {
+		r := rows[i]
+		if int(h.Count) != probes[r.config] {
+			return nil, fmt.Errorf("table4: %s timed %d rounds of %s, want one per probe (%d)",
+				r.label, h.Count, r.config, probes[r.config])
+		}
 		// Rendered in milliseconds: the reduced substrate makes each
 		// component 10-100x faster than the paper's second-scale numbers,
 		// but the ordering between components is the reproduced result.
 		const ms = 1e3
-		rep.AddRow(label, s.Mean*ms, s.Median*ms, s.Max*ms, s.P90*ms)
+		rep.AddRow(r.label, h.Mean*ms, h.P50*ms, h.Max*ms, h.P90*ms)
 	}
-	add("Learner", qvStats.Learner.Summary())
-	add("LAL", qvStats.LAL.Summary())
-	add("Q-Value", qvStats.Utility.Summary())
-	add("General", genStats.Utility.Summary())
-	add("RO", roStats.Utility.Summary())
-	add("Selector", qvStats.Selector.Summary())
 	rep.Note("expected ordering (paper): Learner > LAL > Q-Value > General > RO > Selector")
 	return rep, nil
 }

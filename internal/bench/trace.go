@@ -40,7 +40,7 @@ func TraceRun(sc Scale, seed int64, w io.Writer) (*Report, error) {
 		LAL:      learn.TrainLAL(lalCfg),
 		Obs:      o,
 	}
-	probes, st, err := wl.RunConfig(cfg, sc.InitialProbes, stats.SubSeed(seed, 41))
+	probes, _, err := wl.RunConfig(cfg, sc.InitialProbes, stats.SubSeed(seed, 41))
 	if err != nil {
 		return nil, err
 	}
@@ -53,34 +53,45 @@ func TraceRun(sc Scale, seed int64, w io.Writer) (*Report, error) {
 		},
 	}
 	name := cfg.Name()
-	snap := reg.Snapshot()
-	for _, row := range []struct {
-		label string
-		stage obs.Stage
-	}{
-		{"Learner", obs.StageLearner},
-		{"LAL", obs.StageLAL},
-		{"Utility", obs.StageUtility},
-		{"Selector", obs.StageSelector},
-		{"Oracle probe", obs.StageProbe},
-		{"Simplify", obs.StageSimplify},
-	} {
-		h, ok := snap.Histograms[obs.Key("stage_seconds", string(row.stage), name)]
-		if !ok {
-			rep.AddRow(row.label, 0, 0, 0, 0, 0)
-			continue
-		}
-		const ms = 1e3
-		rep.AddRow(row.label,
-			float64(h.Count), h.Mean*ms, h.P50*ms, h.P90*ms, h.Max*ms)
+	rows := []stageRow{
+		{"Learner", obs.StageLearner, name},
+		{"LAL", obs.StageLAL, name},
+		{"Utility", obs.StageUtility, name},
+		{"Selector", obs.StageSelector, name},
+		{"Oracle probe", obs.StageProbe, name},
+		{"Simplify", obs.StageSimplify, name},
+	}
+	const ms = 1e3
+	for i, h := range stageTimings(reg, rows) {
+		rep.AddRow(rows[i].label, float64(h.Count), h.Mean*ms, h.P50*ms, h.P90*ms, h.Max*ms)
 	}
 	rep.Note("probes=%d; every per-round component ran once per probe selection", probes)
-	rep.Note("sanity: Stats timers agree — learner n=%d lal n=%d utility n=%d selector n=%d",
-		st.Learner.Count(), st.LAL.Count(), st.Utility.Count(), st.Selector.Count())
+	snap := reg.Snapshot()
 	ctr := func(metric string) int64 { return snap.Counters[obs.Key(metric, name)] }
 	rep.Note("incremental path: tuples_resimplified=%d vars_rescored=%d score_cache=%d/%d prob_cache=%d/%d (hits/misses)",
 		ctr("tuples_resimplified"), ctr("vars_rescored"),
 		ctr("score_cache_hits"), ctr("score_cache_misses"),
 		ctr("prob_cache_hits"), ctr("prob_cache_misses"))
 	return rep, nil
+}
+
+// stageRow is one per-component timing row: its label, and the pipeline
+// stage and configuration (session label) whose spans it summarizes.
+type stageRow struct {
+	label  string
+	stage  obs.Stage
+	config string
+}
+
+// stageTimings reads each row's stage_seconds{stage,config} histogram from
+// reg, so a timing table is measured from the same spans that feed
+// /metrics, Session.Metrics and traces. A stage that never ran reads as a
+// zero snapshot.
+func stageTimings(reg *obs.Registry, rows []stageRow) []obs.HistSnapshot {
+	snap := reg.Snapshot()
+	out := make([]obs.HistSnapshot, len(rows))
+	for i, r := range rows {
+		out[i] = snap.Histograms[obs.Key("stage_seconds", string(r.stage), r.config)]
+	}
+	return out
 }

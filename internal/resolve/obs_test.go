@@ -91,9 +91,21 @@ func histKeys(s obs.Snapshot) []string {
 	return out
 }
 
-// The Stats timers of session.go (the paper's Table 4 components) must be
-// populated by a framework-instantiation Run — the previously-dead timers
-// satellite of the observability ISSUE.
+// assertStageCounts checks that each stage's stage_seconds{stage,name}
+// histogram holds exactly one sample per probe.
+func assertStageCounts(t *testing.T, reg *obs.Registry, name string, probes int, stages ...obs.Stage) {
+	t.Helper()
+	snap := reg.Snapshot()
+	for _, stage := range stages {
+		h := snap.Histograms[obs.Key("stage_seconds", string(stage), name)]
+		if h.Count != int64(probes) {
+			t.Errorf("%s: stage_seconds{%s} has %d samples, want one per probe (%d)", name, stage, h.Count, probes)
+		}
+	}
+}
+
+// The paper's Table 4 components are timed in the registry by a
+// framework-instantiation Run: one stage_seconds sample per probe for each.
 func TestStatsTimersPopulatedAfterRun(t *testing.T) {
 	udb := testdb.PaperUncertainDB()
 	res, err := engine.Run(udb, testdb.PaperQuery())
@@ -102,7 +114,9 @@ func TestStatsTimersPopulatedAfterRun(t *testing.T) {
 	}
 	gt := uncertain.GenerateFixed(udb, 0.5, 7)
 
-	sess, err := NewSession(udb, res, oracle.NewGroundTruth(gt.Val), nil, frameworkObsConfig(nil))
+	reg := obs.NewRegistry()
+	cfg := frameworkObsConfig(obs.New("", nil, reg))
+	sess, err := NewSession(udb, res, oracle.NewGroundTruth(gt.Val), nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,34 +124,17 @@ func TestStatsTimersPopulatedAfterRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := out.Stats
-	checks := []struct {
-		name  string
-		count int
-	}{
-		{"Learner", st.Learner.Count()},
-		{"LAL", st.LAL.Count()},
-		{"Utility", st.Utility.Count()},
-		{"Selector", st.Selector.Count()},
+	if out.Probes == 0 {
+		t.Fatal("session resolved with zero probes; test needs a probing session")
 	}
-	for _, c := range checks {
-		if c.count == 0 {
-			t.Errorf("Stats.%s timer is empty after Run", c.name)
-		}
-		if c.count != out.Probes {
-			t.Errorf("Stats.%s has %d samples, want one per probe (%d)", c.name, c.count, out.Probes)
-		}
-	}
-	summary := st.Summary()
-	for _, want := range []string{"probes=", "learner", "lal", "utility", "selector"} {
-		if !strings.Contains(summary, want) {
-			t.Errorf("Stats.Summary() missing %q:\n%s", want, summary)
-		}
+	assertStageCounts(t, reg, cfg.Name(), out.Probes,
+		obs.StageLearner, obs.StageLAL, obs.StageUtility, obs.StageSelector)
+	if summary := out.Stats.Summary(); !strings.Contains(summary, "probes=") {
+		t.Errorf("Stats.Summary() missing probes=:\n%s", summary)
 	}
 }
 
-// Baselines populate the Selector timer too (Random/Greedy previously left
-// every timer empty).
+// Baselines time their Selector in the registry too.
 func TestBaselineSelectorTimerPopulated(t *testing.T) {
 	udb := testdb.PaperUncertainDB()
 	res, err := engine.Run(udb, testdb.PaperQuery())
@@ -149,6 +146,8 @@ func TestBaselineSelectorTimerPopulated(t *testing.T) {
 		{Baseline: BaselineRandom, Seed: 1},
 		{Baseline: BaselineGreedy, Seed: 1},
 	} {
+		reg := obs.NewRegistry()
+		cfg.Obs = obs.New("", nil, reg)
 		sess, err := NewSession(udb, res, oracle.NewGroundTruth(gt.Val), nil, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -157,9 +156,7 @@ func TestBaselineSelectorTimerPopulated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := out.Stats.Selector.Count(); got != out.Probes {
-			t.Errorf("%s: Selector timer has %d samples, want %d", cfg.Name(), got, out.Probes)
-		}
+		assertStageCounts(t, reg, cfg.Name(), out.Probes, obs.StageSelector)
 	}
 }
 
@@ -198,13 +195,8 @@ func TestParallelSharedObservability(t *testing.T) {
 	if got := col.StageCount(obs.StageProbe); got != out.Probes {
 		t.Errorf("collector saw %d probe spans, want %d", got, out.Probes)
 	}
-	// Merged parallel stats carry every sub-session's component timings.
-	if got := out.Stats.Selector.Count(); got != out.Probes {
-		t.Errorf("merged Stats.Selector has %d samples, want %d", got, out.Probes)
-	}
-	if got := out.Stats.Utility.Count(); got != out.Probes {
-		t.Errorf("merged Stats.Utility has %d samples, want %d", got, out.Probes)
-	}
+	// The shared registry carries every sub-session's component timings.
+	assertStageCounts(t, reg, cfg.Name(), out.Probes, obs.StageSelector, obs.StageUtility)
 	if out.Stats.Probes != out.Probes {
 		t.Errorf("merged Stats.Probes = %d, want %d", out.Stats.Probes, out.Probes)
 	}

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 
 	"qres/internal/boolexpr"
 )
@@ -14,8 +12,7 @@ import (
 // Repository persistence: the paper's Known Probes Repository outlives a
 // single session — answers collected for one query seed the Learner for
 // the next (Section 4). SaveJSON/LoadJSON serialize the repository as
-// JSONL, one probe record per line; SaveJSONFile adds crash consistency
-// (temp file + fsync + atomic rename) for on-disk snapshots.
+// JSONL, one probe record per line.
 //
 // Variable identifiers are only meaningful relative to the uncertain
 // database they were allocated for; records therefore persist the
@@ -52,49 +49,6 @@ func encodeProbe(rec ProbeRecord, name func(boolexpr.Var) string) jsonProbe {
 		jp.Var = name(rec.Var)
 	}
 	return jp
-}
-
-// SaveJSONFile writes the repository snapshot crash-consistently: the
-// records are encoded into a temporary file in the destination directory,
-// fsynced, and atomically renamed over path, so a crash mid-write never
-// leaves a truncated snapshot where a complete one (or none) used to be.
-func (r *Repository) SaveJSONFile(path string, name func(boolexpr.Var) string) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := r.SaveJSON(tmp, name); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a rename within it is durable. Errors are
-// reported, but platforms where directories cannot be fsynced are not
-// treated as failures.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil && !os.IsPermission(err) {
-		return err
-	}
-	return nil
 }
 
 // LoadJSON reads records written by SaveJSON into a new repository.

@@ -11,7 +11,6 @@ import (
 	"qres/internal/engine"
 	"qres/internal/learn"
 	"qres/internal/obs"
-	"qres/internal/stats"
 	"qres/internal/uncertain"
 )
 
@@ -172,8 +171,9 @@ func (c Config) Name() string {
 	return fmt.Sprintf("%s+%s", u, c.Learning)
 }
 
-// Stats collects per-session counters and the per-component timing
-// distributions reported in the paper's Table 4.
+// Stats collects per-session counters. Per-component timing (the paper's
+// Table 4) lives in the stage_seconds histograms of the observability
+// registry.
 type Stats struct {
 	// Probes is the number of oracle calls issued, the paper's primary
 	// metric.
@@ -208,17 +208,10 @@ type Stats struct {
 	// scoring is skipped. Zero on the full-recompute path
 	// (DisableIncremental) and for baselines, which build no shards.
 	ShardRoundsReused int
-	// Learner, LAL, Utility and Selector time each framework component
-	// per probe selection. Baselines populate the timers they exercise
-	// (Random and Greedy only the Selector; LAL-only also the LAL timer).
-	Learner  stats.Timer
-	LAL      stats.Timer
-	Utility  stats.Timer
-	Selector stats.Timer
 }
 
-// Merge accumulates other's counters and timing samples into st, used to
-// aggregate per-component statistics from parallel sub-sessions.
+// Merge accumulates other's counters into st, used to aggregate
+// statistics from parallel sub-sessions.
 func (st *Stats) Merge(other *Stats) {
 	st.Probes += other.Probes
 	st.Cost += other.Cost
@@ -230,14 +223,9 @@ func (st *Stats) Merge(other *Stats) {
 	st.ProbCacheHits += other.ProbCacheHits
 	st.ProbCacheMisses += other.ProbCacheMisses
 	st.ShardRoundsReused += other.ShardRoundsReused
-	st.Learner.Merge(&other.Learner)
-	st.LAL.Merge(&other.LAL)
-	st.Utility.Merge(&other.Utility)
-	st.Selector.Merge(&other.Selector)
 }
 
-// Summary renders the session counters and per-component timing
-// distributions as a Table-4-style multi-line report (times in seconds).
+// Summary renders the session counters as a multi-line report.
 func (st *Stats) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "probes=%d cost=%.1f known_reused=%d\n", st.Probes, st.Cost, st.KnownReused)
@@ -246,14 +234,6 @@ func (st *Stats) Summary() string {
 		st.ScoreCacheHits, st.ScoreCacheMisses,
 		st.ProbCacheHits, st.ProbCacheMisses,
 		st.ShardRoundsReused)
-	row := func(name string, t *stats.Timer) {
-		s := t.Summary()
-		fmt.Fprintf(&b, "%-9s n=%-5d %s\n", name, s.Count, s)
-	}
-	row("learner", &st.Learner)
-	row("lal", &st.LAL)
-	row("utility", &st.Utility)
-	row("selector", &st.Selector)
 	return b.String()
 }
 
@@ -671,15 +651,18 @@ func (s *Session) Step() (probed boolexpr.Var, done bool, err error) {
 	return req.Var, done, err
 }
 
-// component times one framework component of the current probe-selection
-// round, recording the duration both in the per-session Stats timer and as
-// an observability span.
-func (s *Session) component(stage obs.Stage, t *stats.Timer, fn func(), attrs ...obs.Attr) {
+// component runs one framework component of the current probe-selection
+// round. With observability enabled it is timed and emitted as one span,
+// which feeds the stage_seconds histogram behind Table 4, /metrics and
+// traces; otherwise the clock is never read.
+func (s *Session) component(stage obs.Stage, fn func(), attrs ...obs.Attr) {
+	if !s.obs.Enabled() {
+		fn()
+		return
+	}
 	start := time.Now()
 	fn()
-	d := time.Since(start)
-	t.Observe(d)
-	s.obs.Emit(stage, s.round, start, d, attrs...)
+	s.obs.Emit(stage, s.round, start, time.Since(start), attrs...)
 }
 
 // Run drives the session to completion and returns the outcome: the exact

@@ -189,7 +189,7 @@ func (s *Session) nextSharded(u utilityStrategy) (boolexpr.Var, error) {
 	s.stats.ShardRoundsReused += reused
 
 	// Sub-step 4.1a: probability estimation per shard (Learner).
-	s.component(obs.StageLearner, &s.stats.Learner, func() {
+	s.component(obs.StageLearner, func() {
 		forEachShard(len(scored), func(i int) {
 			sh := scored[i]
 			sh.probs, sh.probHits, sh.probMiss = sh.inc.candidateProbs(sh.cands)
@@ -209,7 +209,7 @@ func (s *Session) nextSharded(u utilityStrategy) (boolexpr.Var, error) {
 	// derives from the k-way merged per-shard multisets — bit-identical to
 	// the full recompute's multiset, because adjacent gaps depend only on the
 	// merged values — and the per-shard score closures share it.
-	s.component(obs.StageUtility, &s.stats.Utility, func() {
+	s.component(obs.StageUtility, func() {
 		if kind == kindRO {
 			reconcile := scored
 			for _, sh := range s.shards {
@@ -255,7 +255,7 @@ func (s *Session) nextSharded(u utilityStrategy) (boolexpr.Var, error) {
 	// per-variable estimate is a pure function of the shared Learner state,
 	// so per-shard batches equal one batch over every candidate.
 	if online {
-		s.component(obs.StageLAL, &s.stats.LAL, func() {
+		s.component(obs.StageLAL, func() {
 			forEachShard(len(scored), func(i int) {
 				sh := scored[i]
 				sh.lalBuf = s.learner.UncertaintyBatch(sh.cands, sh.lalBuf)
@@ -268,7 +268,7 @@ func (s *Session) nextSharded(u utilityStrategy) (boolexpr.Var, error) {
 	// kept — the full scan restricted to the shard), then the global
 	// merge by (combined score desc, variable asc).
 	var best boolexpr.Var
-	s.component(obs.StageSelector, &s.stats.Selector, func() {
+	s.component(obs.StageSelector, func() {
 		forEachShard(len(scored), func(i int) {
 			sh := scored[i]
 			bestScore := 0.0

@@ -28,7 +28,7 @@ func (randomStrategy) Name() string   { return "Random" }
 func (randomStrategy) NeedsCNF() bool { return false }
 func (r randomStrategy) next(s *Session, candidates []boolexpr.Var) (boolexpr.Var, error) {
 	var v boolexpr.Var
-	s.component(obs.StageSelector, &s.stats.Selector, func() {
+	s.component(obs.StageSelector, func() {
 		v = candidates[r.rng.Intn(len(candidates))]
 	}, obs.Int("candidates", len(candidates)))
 	return v, nil
@@ -43,7 +43,7 @@ func (greedyStrategy) Name() string   { return "Greedy" }
 func (greedyStrategy) NeedsCNF() bool { return false }
 func (greedyStrategy) next(s *Session, candidates []boolexpr.Var) (boolexpr.Var, error) {
 	var best boolexpr.Var
-	s.component(obs.StageSelector, &s.stats.Selector, func() {
+	s.component(obs.StageSelector, func() {
 		counts := make(map[boolexpr.Var]int)
 		for _, e := range s.work.exprs {
 			if e.Decided() {
@@ -75,12 +75,12 @@ func (lalOnlyStrategy) Name() string   { return "LAL only" }
 func (lalOnlyStrategy) NeedsCNF() bool { return false }
 func (lalOnlyStrategy) next(s *Session, candidates []boolexpr.Var) (boolexpr.Var, error) {
 	var scores []float64
-	s.component(obs.StageLAL, &s.stats.LAL, func() {
+	s.component(obs.StageLAL, func() {
 		s.lalBuf = s.learner.UncertaintyBatch(candidates, s.lalBuf)
 		scores = s.lalBuf
 	}, obs.Int("candidates", len(candidates)))
 	var best boolexpr.Var
-	s.component(obs.StageSelector, &s.stats.Selector, func() {
+	s.component(obs.StageSelector, func() {
 		bestScore := -1.0
 		best = candidates[0]
 		for i, v := range candidates {
@@ -117,7 +117,7 @@ func (u utilityStrategy) next(s *Session, candidates []boolexpr.Var) (boolexpr.V
 	// oracle (DisableIncremental). Sub-step 4.1a: probability estimation,
 	// timed as "Learner".
 	var probs map[boolexpr.Var]float64
-	s.component(obs.StageLearner, &s.stats.Learner, func() {
+	s.component(obs.StageLearner, func() {
 		probs = make(map[boolexpr.Var]float64, len(candidates))
 		for _, v := range candidates {
 			probs[v] = s.learner.Prob(v)
@@ -128,7 +128,7 @@ func (u utilityStrategy) next(s *Session, candidates []boolexpr.Var) (boolexpr.V
 
 	// Sub-step 4.2: utility computation, timed under the utility's name.
 	var scores map[boolexpr.Var]float64
-	s.component(obs.StageUtility, &s.stats.Utility, func() {
+	s.component(obs.StageUtility, func() {
 		scores = u.util.Scores(s.work,
 			func(v boolexpr.Var) float64 { return probs[v] },
 			candidates, s.round)
@@ -144,7 +144,7 @@ func (u utilityStrategy) next(s *Session, candidates []boolexpr.Var) (boolexpr.V
 	// the slice stays nil and uncertainty is 0 for every candidate.
 	var uncertainty []float64
 	if s.learner.Mode() == LearnOnline {
-		s.component(obs.StageLAL, &s.stats.LAL, func() {
+		s.component(obs.StageLAL, func() {
 			s.lalBuf = s.learner.UncertaintyBatch(candidates, s.lalBuf)
 			uncertainty = s.lalBuf
 		})
@@ -155,7 +155,7 @@ func (u utilityStrategy) next(s *Session, candidates []boolexpr.Var) (boolexpr.V
 	// mode candidates are ranked by score per unit cost (the Section 9
 	// extension).
 	var best boolexpr.Var
-	s.component(obs.StageSelector, &s.stats.Selector, func() {
+	s.component(obs.StageSelector, func() {
 		bestScore := 0.0
 		first := true
 		for i, v := range candidates {

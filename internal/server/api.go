@@ -129,16 +129,16 @@ type StatusResponse struct {
 type StoreStatusResponse struct {
 	// Persistent reports whether answers are durably logged at all.
 	Persistent bool `json:"persistent"`
-	// Engine names the storage engine ("segmented", "flat"), empty when
+	// Engine names the storage engine ("segmented"), empty when
 	// persistence is disabled.
 	Engine string `json:"engine,omitempty"`
 	// WALRecords is the replay backlog a restart right now would face.
 	WALRecords int `json:"wal_records"`
 	// RepositoryRecords is the size of the in-memory shared repository.
 	RepositoryRecords int `json:"repository_records"`
-	// Stats carries the segmented engine's full counters (segment
-	// inventory, group-commit and compaction totals); nil for other
-	// engines.
+	// Stats carries the storage engine's full counters (segment
+	// inventory, group-commit and compaction totals); nil when
+	// persistence is disabled.
 	Stats *store.Stats `json:"stats,omitempty"`
 }
 

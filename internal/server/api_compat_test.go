@@ -179,3 +179,23 @@ func TestParallelismFieldCompat(t *testing.T) {
 		t.Errorf("GET session info missing parallelism: %v", again)
 	}
 }
+
+// A request body over the 1 MiB bound is refused with 413 and the
+// request_too_large code before it is decoded in full, and the server
+// keeps serving afterwards.
+func TestOversizedBodyRejected(t *testing.T) {
+	_, base := startServer(t, Config{})
+
+	huge := `{"query": "SELECT Organization FROM Roles", "strategy": "` +
+		strings.Repeat("x", 2<<20) + `"}`
+	if st, body := postRaw(t, base+"/v1/sessions", huge); st != http.StatusRequestEntityTooLarge {
+		t.Errorf("2 MiB create: status %d, want %d", st, http.StatusRequestEntityTooLarge)
+	} else if c := errCode(t, body); c != CodeRequestTooLarge {
+		t.Errorf("2 MiB create: code %q, want %q", c, CodeRequestTooLarge)
+	}
+
+	var info SessionInfo
+	mustJSON(t, "POST", base+"/v1/sessions", CreateSessionRequest{Query: paperSQL}, &info, http.StatusCreated)
+	var pr ProbeResponse
+	mustJSON(t, "GET", base+"/v1/sessions/"+info.ID+"/probe", nil, &pr, http.StatusOK)
+}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"net/http"
 
 	"qres/internal/resolve"
 )
@@ -27,6 +28,9 @@ const (
 	CodeProbeMismatch = "probe_mismatch"
 	// CodeCapacity: the session cap is reached; retry later (HTTP 429).
 	CodeCapacity = "capacity"
+	// CodeRequestTooLarge: the request body exceeds the 1 MiB bound
+	// (HTTP 413).
+	CodeRequestTooLarge = "request_too_large"
 	// CodeInternal: an unexpected server-side fault.
 	CodeInternal = "internal"
 )
@@ -51,6 +55,8 @@ func errorCode(err error, status int) string {
 		return CodeProbeMismatch
 	case errors.Is(err, errCapacity):
 		return CodeCapacity
+	case errors.As(err, new(*http.MaxBytesError)):
+		return CodeRequestTooLarge
 	}
 	switch {
 	case status == 404:

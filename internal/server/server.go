@@ -27,23 +27,6 @@ import (
 	"qres/internal/uncertain"
 )
 
-// ProbeStore is the durability contract the service needs from a storage
-// engine: the answer path pairs each repository add with a WAL append
-// inside one Update, graceful shutdown snapshots and closes. Both the flat
-// resolve.Store and the segmented store.Store satisfy it.
-type ProbeStore interface {
-	// Update runs fn with an append function; the appended records are
-	// durable when Update returns.
-	Update(fn func(append func(...resolve.ProbeRecord) error) error) error
-	// Snapshot persists the repository so recovery no longer needs the
-	// records the WAL held at the time of the call.
-	Snapshot(repo *resolve.Repository) error
-	// WALRecords reports the records a restart right now would replay.
-	WALRecords() int
-	// Close releases the store without snapshotting.
-	Close() error
-}
-
 // Config assembles a resolution service.
 type Config struct {
 	// DB is the loaded uncertain database every session queries. Required.
@@ -54,7 +37,7 @@ type Config struct {
 	Repo *resolve.Repository
 	// Store persists the shared repository (WAL + snapshot). Nil disables
 	// persistence.
-	Store ProbeStore
+	Store *store.Store
 	// MaxSessions caps concurrently live sessions; creation beyond the
 	// cap returns 429 (default 64).
 	MaxSessions int
@@ -89,7 +72,7 @@ type Config struct {
 type Server struct {
 	udb   *uncertain.DB
 	repo  *resolve.Repository
-	store ProbeStore
+	store *store.Store
 	reg   *obs.Registry
 	mgr   *manager
 	mux   *http.ServeMux
@@ -190,11 +173,42 @@ func (s *Server) janitor(ttl time.Duration) {
 	}
 }
 
+// Bounds on what one client connection can make the service hold: time to
+// send request headers, time to send a whole request, how long an idle
+// keep-alive connection stays open, and the size of a JSON request body.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxBodyBytes      = 1 << 20
+)
+
 // Serve accepts connections on ln until Shutdown. It blocks, returning
 // http.ErrServerClosed after a clean shutdown.
 func (s *Server) Serve(ln net.Listener) error {
-	s.httpServer = &http.Server{Handler: s}
+	s.httpServer = &http.Server{
+		Handler:           s,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	return s.httpServer.Serve(ln)
+}
+
+// decodeRequest decodes a JSON request body of at most maxBodyBytes into v.
+// On failure it writes the error response (413 request_too_large for an
+// oversized body, 400 otherwise) and returns false.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	if errors.As(err, new(*http.MaxBytesError)) {
+		writeError(w, http.StatusRequestEntityTooLarge, err)
+	} else {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid JSON: %w", err))
+	}
+	return false
 }
 
 // Shutdown gracefully stops the service: in-flight handlers drain (via
@@ -240,8 +254,7 @@ func (s *Server) Repo() *resolve.Repository { return s.repo }
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var req CreateSessionRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid JSON: %w", err))
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if strings.TrimSpace(req.Query) == "" {
@@ -348,8 +361,7 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req AnswerRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid JSON: %w", err))
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	v, ok := s.udb.VarFor(req.Table, req.Index)
@@ -403,22 +415,18 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStoreStatus reports the persistence engine behind the shared
-// repository. The segmented engine additionally exposes its full stats
-// (segments, group-commit counters, compactions); the flat engine reports
-// just its WAL backlog.
+// repository with its full stats (segments, group-commit counters,
+// compactions).
 func (s *Server) handleStoreStatus(w http.ResponseWriter, r *http.Request) {
 	resp := StoreStatusResponse{
 		Persistent:        s.store != nil,
 		RepositoryRecords: s.repo.Len(),
 	}
 	if s.store != nil {
-		resp.Engine = "flat"
-		resp.WALRecords = s.store.WALRecords()
-		if st, ok := s.store.(interface{ Stats() store.Stats }); ok {
-			stats := st.Stats()
-			resp.Engine = stats.Engine
-			resp.Stats = &stats
-		}
+		stats := s.store.Stats()
+		resp.Engine = stats.Engine
+		resp.WALRecords = stats.TailRecords
+		resp.Stats = &stats
 	}
 	writeJSON(w, resp)
 }

@@ -16,7 +16,6 @@ import (
 
 	"qres/internal/boolexpr"
 	"qres/internal/engine"
-	"qres/internal/resolve"
 	"qres/internal/sqlparse"
 	"qres/internal/store"
 	"qres/internal/testdb"
@@ -385,12 +384,13 @@ func TestCrashRestartRecovery(t *testing.T) {
 	dir := t.TempDir()
 	udb := testdb.PaperUncertainDB()
 	gt := uncertain.GenerateFixed(udb, 0.5, 11)
+	opts := store.Options{NameFn: udb.Registry().Name, ResolveFn: udb.Registry().Lookup}
 
-	store, repo, err := resolve.OpenStore(dir, udb.Registry().Name, udb.Registry().Lookup)
+	st1, repo, err := store.Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{DB: udb, Repo: repo, Store: store})
+	srv, err := New(Config{DB: udb, Repo: repo, Store: st1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,22 +418,22 @@ func TestCrashRestartRecovery(t *testing.T) {
 	hts.Close()
 	close(srv.sweepStop) // stop the janitor without snapshotting
 	<-srv.sweepDone
-	if err := store.Close(); err != nil { // crash-equivalent: WAL left as is
+	if err := st1.Close(); err != nil { // crash-equivalent: WAL left as is
 		t.Fatal(err)
 	}
 
 	// Restart: every acknowledged answer must come back from the WAL.
-	store2, repo2, err := resolve.OpenStore(dir, udb.Registry().Name, udb.Registry().Lookup)
+	st2, repo2, err := store.Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if repo2.Len() != partial {
 		t.Fatalf("recovered %d records, want %d", repo2.Len(), partial)
 	}
-	if store2.WALRecords() != partial {
-		t.Fatalf("recovered WAL holds %d records, want %d", store2.WALRecords(), partial)
+	if st2.WALRecords() != partial {
+		t.Fatalf("recovered WAL holds %d records, want %d", st2.WALRecords(), partial)
 	}
-	srv2, err := New(Config{DB: udb, Repo: repo2, Store: store2})
+	srv2, err := New(Config{DB: udb, Repo: repo2, Store: st2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,13 +467,13 @@ func TestCrashRestartRecovery(t *testing.T) {
 	if err := srv2.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	store3, repo3, err := resolve.OpenStore(dir, udb.Registry().Name, udb.Registry().Lookup)
+	st3, repo3, err := store.Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer store3.Close()
-	if store3.WALRecords() != 0 {
-		t.Errorf("WAL holds %d records after snapshot, want 0", store3.WALRecords())
+	defer st3.Close()
+	if st3.WALRecords() != 0 {
+		t.Errorf("WAL holds %d records after snapshot, want 0", st3.WALRecords())
 	}
 	if repo3.Len() != repo2.Len() {
 		t.Errorf("snapshot lost records: %d vs %d", repo3.Len(), repo2.Len())

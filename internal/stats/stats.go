@@ -1,15 +1,12 @@
 // Package stats provides small statistical helpers used across the
-// repository: summary statistics (mean, median, percentiles), Welford
-// accumulators for streaming timing data, and seeded random-number helpers
-// that keep every experiment deterministic and reproducible.
+// repository: summary statistics (mean, median, percentiles) and seeded
+// random-number helpers that keep every experiment deterministic and
+// reproducible.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"time"
 )
 
 // Summary holds the order statistics reported in the paper's Table 4
@@ -106,70 +103,4 @@ func MeanInts(xs []int) float64 {
 		sum += x
 	}
 	return float64(sum) / float64(len(xs))
-}
-
-// Timer accumulates durations and reports a Summary in seconds, matching the
-// units of the paper's Table 4. Timers are safe for concurrent use, so
-// component timings from parallel sub-sessions can aggregate into one Timer.
-type Timer struct {
-	mu      sync.Mutex
-	samples []float64
-}
-
-// Observe records one duration.
-func (t *Timer) Observe(d time.Duration) {
-	t.mu.Lock()
-	t.samples = append(t.samples, d.Seconds())
-	t.mu.Unlock()
-}
-
-// Time runs fn and records how long it took. It returns fn's duration.
-func (t *Timer) Time(fn func()) time.Duration {
-	start := time.Now()
-	fn()
-	d := time.Since(start)
-	t.Observe(d)
-	return d
-}
-
-// Samples returns a copy of the observed durations in seconds.
-func (t *Timer) Samples() []float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]float64(nil), t.samples...)
-}
-
-// Merge appends every observation of other into t.
-func (t *Timer) Merge(other *Timer) {
-	xs := other.Samples()
-	t.mu.Lock()
-	t.samples = append(t.samples, xs...)
-	t.mu.Unlock()
-}
-
-// Summary reports the accumulated order statistics in seconds.
-func (t *Timer) Summary() Summary {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return Summarize(t.samples)
-}
-
-// Count reports how many durations have been observed.
-func (t *Timer) Count() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.samples)
-}
-
-// Reset discards all observations.
-func (t *Timer) Reset() {
-	t.mu.Lock()
-	t.samples = t.samples[:0]
-	t.mu.Unlock()
-}
-
-// String renders the summary as "avg/median/max/p90" seconds with three
-// decimal places, the precision used in the paper.
-func (s Summary) String() string {
-	return fmt.Sprintf("avg=%.3f median=%.3f max=%.3f p90=%.3f", s.Mean, s.Median, s.Max, s.P90)
 }

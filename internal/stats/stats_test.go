@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestSummarize(t *testing.T) {
@@ -53,33 +52,6 @@ func TestMeanHelpers(t *testing.T) {
 	}
 	if MeanInts([]int{2, 4}) != 3 || MeanInts(nil) != 0 {
 		t.Error("MeanInts wrong")
-	}
-}
-
-func TestTimer(t *testing.T) {
-	var tm Timer
-	tm.Observe(100 * time.Millisecond)
-	tm.Observe(300 * time.Millisecond)
-	if tm.Count() != 2 {
-		t.Fatalf("Count = %d", tm.Count())
-	}
-	s := tm.Summary()
-	if math.Abs(s.Mean-0.2) > 1e-9 {
-		t.Errorf("Mean = %f", s.Mean)
-	}
-	d := tm.Time(func() { time.Sleep(time.Millisecond) })
-	if d < time.Millisecond {
-		t.Error("Time under-measured")
-	}
-	if tm.Count() != 3 {
-		t.Error("Time did not record")
-	}
-	tm.Reset()
-	if tm.Count() != 0 {
-		t.Error("Reset failed")
-	}
-	if s.String() == "" {
-		t.Error("String empty")
 	}
 }
 

@@ -15,45 +15,19 @@ import (
 
 // Benchmarks behind results/BENCH_store.json: restart time after a crash
 // at 10k/100k (and, with QRES_BENCH_BIG=1, 1M) total probes, and the
-// durable answer path's latency distribution under concurrent writers —
-// flat (per-append fsync, JSONL) against segmented (group commit, binary
-// frames, compacted snapshot). Reproduce with the EXPERIMENTS.md "Storage
-// engine" recipe.
+// durable answer path's latency distribution under concurrent writers
+// (group commit, binary frames, compacted snapshot). The flat-store
+// control numbers in that file are history: that engine is gone. Reproduce
+// with the EXPERIMENTS.md "Storage engine" recipe.
 
 // benchRecord builds the i-th synthetic probe record. Variables are
-// pre-interned so both engines resolve every name on recovery.
+// pre-interned so recovery resolves every name.
 func benchRecord(reg *boolexpr.Registry, i int) resolve.ProbeRecord {
 	return resolve.ProbeRecord{
 		Var:    reg.Intern("facts[" + strconv.Itoa(i%4096) + "]"),
 		HasVar: true,
 		Meta:   map[string]string{"i": strconv.Itoa(i), "source": "bench"},
 		Answer: i%3 != 0,
-	}
-}
-
-// buildFlatCrashState drives n records through the flat store and leaves
-// it crash-closed: no snapshot, so the next open replays the full JSONL
-// WAL — the flat engine's steady state, since it only snapshots on
-// graceful shutdown.
-func buildFlatCrashState(b *testing.B, dir string, reg *boolexpr.Registry, n int) {
-	b.Helper()
-	st, _, err := resolve.OpenStore(dir, reg.Name, func(s string) (boolexpr.Var, bool) { return reg.Lookup(s) })
-	if err != nil {
-		b.Fatal(err)
-	}
-	const batch = 1024
-	recs := make([]resolve.ProbeRecord, 0, batch)
-	for i := 0; i < n; i++ {
-		recs = append(recs, benchRecord(reg, i))
-		if len(recs) == batch || i == n-1 {
-			if err := st.Append(recs...); err != nil {
-				b.Fatal(err)
-			}
-			recs = recs[:0]
-		}
-	}
-	if err := st.Close(); err != nil {
-		b.Fatal(err)
 	}
 }
 
@@ -119,26 +93,6 @@ func benchSizes() []int {
 
 func BenchmarkStoreRecovery(b *testing.B) {
 	for _, n := range benchSizes() {
-		b.Run(fmt.Sprintf("engine=flat/probes=%d", n), func(b *testing.B) {
-			reg := boolexpr.NewRegistry()
-			dir := b.TempDir()
-			buildFlatCrashState(b, dir, reg, n)
-			resolveFn := func(s string) (boolexpr.Var, bool) { return reg.Lookup(s) }
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st, repo, err := resolve.OpenStore(dir, reg.Name, resolveFn)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if repo.Len() != n {
-					b.Fatalf("recovered %d records, want %d", repo.Len(), n)
-				}
-				b.StopTimer()
-				st.Close()
-				b.StartTimer()
-			}
-			b.ReportMetric(float64(n), "tail_records")
-		})
 		b.Run(fmt.Sprintf("engine=segmented/probes=%d", n), func(b *testing.B) {
 			reg := boolexpr.NewRegistry()
 			dir := b.TempDir()
@@ -170,8 +124,7 @@ func BenchmarkStoreRecovery(b *testing.B) {
 // BenchmarkStoreAppend measures the durable answer path under concurrent
 // writers: each op is one Update (repository add + WAL append + wait for
 // durability), the per-op latency distribution is reported as p50/p99
-// metrics. The flat engine pays one fsync per op inside the lock; the
-// segmented engine group-commits, so concurrent ops share fsyncs.
+// metrics. The engine group-commits, so concurrent ops share fsyncs.
 func BenchmarkStoreAppend(b *testing.B) {
 	const writers = 8
 	run := func(b *testing.B, update func(i int) error) {
@@ -211,22 +164,6 @@ func BenchmarkStoreAppend(b *testing.B) {
 		b.ReportMetric(p(0.99), "p99_ms")
 	}
 
-	b.Run("engine=flat", func(b *testing.B) {
-		reg := boolexpr.NewRegistry()
-		st, repo, err := resolve.OpenStore(b.TempDir(), reg.Name,
-			func(s string) (boolexpr.Var, bool) { return reg.Lookup(s) })
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer st.Close()
-		run(b, func(i int) error {
-			rec := benchRecord(reg, i)
-			return st.Update(func(ap func(...resolve.ProbeRecord) error) error {
-				repo.AddVar(rec.Var, rec.Meta, rec.Answer)
-				return ap(rec)
-			})
-		})
-	})
 	b.Run("engine=segmented", func(b *testing.B) {
 		reg := boolexpr.NewRegistry()
 		st, repo, err := Open(b.TempDir(), Options{

@@ -51,11 +51,10 @@ func readManifest(dir string) (manifest, bool, error) {
 
 // Snapshot atomically persists a prefix of the repository and advances the
 // WAL watermark past it, then deletes every sealed segment the new
-// snapshot fully covers. Unlike the flat store's Snapshot it does not
-// exclude concurrent appends: the (prefix length, WAL watermark) pair is
-// captured under the commit-order lock — one uncontended lock acquisition
-// — and everything after that runs against an immutable record prefix
-// while writers keep appending. Explicit calls (graceful shutdown) and the
+// snapshot fully covers. It does not exclude concurrent appends: the
+// (prefix length, WAL watermark) pair is captured under the commit-order
+// lock — one uncontended lock acquisition — and everything after that runs
+// against an immutable record prefix while writers keep appending. Explicit calls (graceful shutdown) and the
 // background compactor both land here.
 func (s *Store) Snapshot(repo *resolve.Repository) error {
 	s.snapMu.Lock()

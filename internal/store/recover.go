@@ -12,7 +12,7 @@ import (
 	"qres/internal/resolve"
 )
 
-// Legacy flat-store files (resolve.Store). A store directory holding these
+// Files of the retired flat JSONL store. A store directory holding these
 // and no manifest is migrated in place on first open.
 const (
 	legacySnapshotFile = "probes.snapshot.jsonl"
@@ -53,9 +53,9 @@ const defaultSegmentBytes = 4 << 20
 // is truncated away; any other damage fails Open with a CorruptionError
 // locating the damaged file, byte offset, and record index.
 //
-// Directories written by the flat resolve.Store are migrated in place: the
-// legacy JSONL snapshot and WAL are recovered once through the old code
-// path, folded into a new-format snapshot, and removed.
+// Directories written by the retired flat JSONL store are migrated in
+// place: the legacy snapshot and WAL are read once, folded into a
+// new-format snapshot, and removed.
 func Open(dir string, opts Options) (*Store, *resolve.Repository, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
@@ -278,12 +278,15 @@ func truncateSegment(path string, size int64) error {
 	return f.Sync()
 }
 
-// migrateLegacy converts a flat resolve.Store directory in place: recover
-// through the old code path, write the state as a new-format snapshot +
-// manifest, and delete the legacy files. A directory already holding a
-// manifest only gets leftover legacy files removed (a crash mid-migration
-// re-runs harmlessly: the legacy files are deleted only after the manifest
-// is durable).
+// migrateLegacy converts a directory written by the retired flat JSONL
+// store in place: read the legacy snapshot, then the legacy WAL on top of
+// it, write the state as a new-format snapshot + manifest, and delete the
+// legacy files. The legacy files are only read: resolve.LoadJSON skips a
+// torn trailing line (a crash mid-append) and rejects mid-file damage, in
+// which case Open fails with both files left as they were. A directory
+// already holding a manifest only gets leftover legacy files removed (a
+// crash mid-migration re-runs harmlessly: the legacy files are deleted
+// only after the manifest is durable).
 func migrateLegacy(dir string, opts Options) error {
 	_, haveMan, err := readManifest(dir)
 	if err != nil {
@@ -299,24 +302,43 @@ func migrateLegacy(dir string, opts Options) error {
 	if !fileExists(legacySnap) && !fileExists(legacyWAL) {
 		return nil
 	}
-	old, repo, err := resolve.OpenStore(dir, opts.NameFn, opts.ResolveFn)
-	if err != nil {
-		return fmt.Errorf("store: migrating legacy store: %w", err)
-	}
-	if err := old.Close(); err != nil {
-		return err
+	var recs []resolve.ProbeRecord
+	for _, path := range []string{legacySnap, legacyWAL} {
+		part, err := loadLegacyFile(path, opts.ResolveFn)
+		if err != nil {
+			return fmt.Errorf("store: migrating legacy store: %s: %w", filepath.Base(path), err)
+		}
+		recs = append(recs, part...)
 	}
 	tmp := &Store{dir: dir, nameFn: opts.NameFn}
-	if err := tmp.writeSnapshotFile(repo.Records()); err != nil {
+	if err := tmp.writeSnapshotFile(recs); err != nil {
 		return err
 	}
-	n := uint64(repo.Len())
+	n := uint64(len(recs))
 	if err := writeManifest(dir, manifest{SnapshotRecords: n, WALWatermark: n}); err != nil {
 		return err
 	}
 	os.Remove(legacySnap)
 	os.Remove(legacyWAL)
 	return nil
+}
+
+// loadLegacyFile reads one legacy JSONL file; an absent file holds no
+// records.
+func loadLegacyFile(path string, resolveFn func(string) (boolexpr.Var, bool)) ([]resolve.ProbeRecord, error) {
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	repo, err := resolve.LoadJSON(f, resolveFn)
+	if err != nil {
+		return nil, err
+	}
+	return repo.Records(), nil
 }
 
 // fileExists reports whether path exists.

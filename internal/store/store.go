@@ -3,25 +3,21 @@
 // compaction into an atomic snapshot, and a block-index sidecar per sealed
 // segment for sublinear recovery and cold lookups.
 //
-// It replaces the flat JSONL WAL (resolve.Store) behind the same
-// Append/Update/Snapshot/recovery contract while changing the two costs
-// that grow with recorded probes:
+// Two costs grow with recorded probes, and the design bounds both:
 //
-//   - Restart time. The flat store replays its entire log on every
-//     recovery. Here, background compaction folds sealed segments into the
+//   - Restart time. Background compaction folds sealed segments into the
 //     snapshot and deletes them, and the sidecar indexes let recovery skip
 //     any remaining segment whose records the snapshot already covers
 //     without reading it — so replay work tracks the un-snapshotted tail,
 //     not total history. Records are framed in a compact binary encoding
-//     that also decodes several times faster than JSONL.
+//     that decodes several times faster than JSONL.
 //
-//   - Answer-path latency. The flat store fsyncs inside every append.
-//     Here appends from concurrent sessions coalesce into one fsync via a
-//     commit queue drained by a single flusher goroutine (group commit);
-//     each append still returns only after the batch holding its records
-//     is durable, so the durability point — no acknowledged answer is ever
-//     lost — is unchanged, but the fsync cost is shared across every
-//     session that answered in the same window.
+//   - Answer-path latency. Appends from concurrent sessions coalesce into
+//     one fsync via a commit queue drained by a single flusher goroutine
+//     (group commit); each append still returns only after the batch
+//     holding its records is durable, so no acknowledged answer is ever
+//     lost, but the fsync cost is shared across every session that
+//     answered in the same window.
 //
 // Correctness rests on one alignment invariant: every repository add is
 // paired with a WAL append inside a single Update call, so the i-th WAL
@@ -30,7 +26,7 @@
 // critical section, and recovery is exact by construction: load the
 // snapshot, then replay only WAL records at or beyond the watermark.
 // Repository mutations outside Update (e.g. seeding before serving) are
-// durable from the next Snapshot on, exactly as with the flat store.
+// durable from the next Snapshot on.
 package store
 
 import (
@@ -111,9 +107,9 @@ type activeSegment struct {
 }
 
 // Append durably logs newly answered probes, returning once every record
-// is synced (possibly sharing its fsync with concurrent appends). As with
-// the flat store, callers that may Snapshot concurrently must pair the
-// repository add with the append inside one Update instead.
+// is synced (possibly sharing its fsync with concurrent appends). Callers
+// that may Snapshot concurrently must pair the repository add with the
+// append inside one Update instead.
 func (s *Store) Append(recs ...resolve.ProbeRecord) error {
 	return s.Update(func(ap func(...resolve.ProbeRecord) error) error {
 		return ap(recs...)

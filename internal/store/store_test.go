@@ -107,77 +107,47 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRecoveryEquivalenceWithFlatStore(t *testing.T) {
-	// The same probe stream driven through the flat resolve.Store and the
-	// segmented store — including a mid-stream snapshot and a
-	// crash-equivalent close — must recover to byte-identical
-	// repositories.
+func TestRecoveryMatchesLiveRepository(t *testing.T) {
+	// A probe stream with several segment rotations, a mid-stream snapshot
+	// and a crash-equivalent close recovers to the bytes of the live
+	// repository as it stood before the close.
 	env := newTestEnv()
-	recs := env.probeSeq(60)
-
-	flatDir, segDir := t.TempDir(), t.TempDir()
-	flat, flatRepo, err := resolve.OpenStore(flatDir, env.opts.NameFn, env.opts.ResolveFn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg, segRepo, err := Open(segDir, Options{
+	dir := t.TempDir()
+	st, repo, err := Open(dir, Options{
 		NameFn: env.opts.NameFn, ResolveFn: env.opts.ResolveFn,
 		SegmentBytes: 512, // force several rotations
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	for i, rec := range recs {
-		rec := rec
-		if err := flat.Update(func(ap func(...resolve.ProbeRecord) error) error {
-			if rec.HasVar {
-				flatRepo.AddVar(rec.Var, rec.Meta, rec.Answer)
-			} else {
-				flatRepo.Add(rec.Meta, rec.Answer)
-			}
-			return ap(rec)
-		}); err != nil {
-			t.Fatal(err)
-		}
-		addOne(t, seg, segRepo, rec)
-		if i == 40 { // snapshot mid-stream in both engines
-			if err := flat.Snapshot(flatRepo); err != nil {
-				t.Fatal(err)
-			}
-			if err := seg.Snapshot(segRepo); err != nil {
+	for i, rec := range env.probeSeq(60) {
+		addOne(t, st, repo, rec)
+		if i == 40 {
+			if err := st.Snapshot(repo); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if err := flat.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := seg.Close(); err != nil {
+	want := saveBytes(t, repo, env.reg.Name)
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	_, flatBack, err := resolve.OpenStore(flatDir, env.opts.NameFn, env.opts.ResolveFn)
+	st2, back, err := Open(dir, env.opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg2, segBack, err := Open(segDir, env.opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seg2.Close()
-
-	flatBytes := saveBytes(t, flatBack, env.reg.Name)
-	segBytes := saveBytes(t, segBack, env.reg.Name)
-	if !bytes.Equal(flatBytes, segBytes) {
-		t.Errorf("engines diverge after recovery:\nflat %s\nseg  %s", flatBytes, segBytes)
+	defer st2.Close()
+	if got := saveBytes(t, back, env.reg.Name); !bytes.Equal(got, want) {
+		t.Errorf("recovered repository differs from the live one:\ngot  %s\nwant %s", got, want)
 	}
 }
 
 func TestGroupCommitDurability(t *testing.T) {
-	// Concurrent answer paths: every Update that returned must survive a
-	// crash-equivalent close, and the concurrent appends should have
-	// shared fsyncs.
+	// Concurrent answer paths, with a snapshotter looping beside them:
+	// every Update that returned must survive a crash-equivalent close
+	// exactly once (no loss, no duplicate replay across a snapshot
+	// watermark), and the concurrent appends should have shared fsyncs.
 	env := newTestEnv()
 	dir := t.TempDir()
 	st, repo, err := Open(dir, env.opts)
@@ -186,7 +156,7 @@ func TestGroupCommitDurability(t *testing.T) {
 	}
 	const writers, perWriter = 8, 25
 	var wg sync.WaitGroup
-	errs := make(chan error, writers)
+	errs := make(chan error, writers+1)
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -207,7 +177,25 @@ func TestGroupCommitDurability(t *testing.T) {
 			}
 		}(w)
 	}
+	stop := make(chan struct{})
+	snapDone := make(chan struct{})
+	go func() {
+		defer close(snapDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := st.Snapshot(repo); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
 	wg.Wait()
+	close(stop)
+	<-snapDone
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
@@ -216,6 +204,7 @@ func TestGroupCommitDurability(t *testing.T) {
 	if stats.Fsyncs == 0 || stats.Fsyncs > writers*perWriter {
 		t.Errorf("Fsyncs = %d, want in [1, %d]", stats.Fsyncs, writers*perWriter)
 	}
+	want := saveBytes(t, repo, env.reg.Name)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +215,10 @@ func TestGroupCommitDurability(t *testing.T) {
 	}
 	defer st2.Close()
 	if got := repo2.Len(); got != writers*perWriter {
-		t.Errorf("recovered %d records, want %d (acked appends lost)", got, writers*perWriter)
+		t.Errorf("recovered %d records, want %d (acked appends lost or replayed twice)", got, writers*perWriter)
+	}
+	if got := saveBytes(t, repo2, env.reg.Name); !bytes.Equal(got, want) {
+		t.Errorf("recovered repository differs from the live one:\ngot  %s\nwant %s", got, want)
 	}
 }
 
@@ -415,39 +407,38 @@ func TestMidSegmentCorruptionIsLocated(t *testing.T) {
 	}
 }
 
+// copyFixture copies a legacy store fixture into a fresh directory, so a
+// test can open (and migrate) it without touching the checked-in files.
+func copyFixture(t *testing.T, name string) (dir string, files map[string][]byte) {
+	t.Helper()
+	dir = t.TempDir()
+	files = make(map[string][]byte)
+	for _, f := range []string{legacySnapshotFile, legacyWALFile} {
+		data, err := os.ReadFile(filepath.Join("testdata", name, f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, f), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		files[f] = data
+	}
+	return dir, files
+}
+
 func TestLegacyFlatStoreMigration(t *testing.T) {
-	// A directory written by the flat resolve.Store — snapshot plus WAL
-	// tail — is migrated in place on first open and never consulted
+	// testdata/legacy_flat was written by the retired flat JSONL store: a
+	// 21-record snapshot, a 9-record WAL tail, and a torn trailing
+	// fragment from a crash mid-append. It is migrated in place on first
+	// open, recovers to want.jsonl byte for byte, and is never consulted
 	// again.
 	env := newTestEnv()
-	dir := t.TempDir()
-	flat, flatRepo, err := resolve.OpenStore(dir, env.opts.NameFn, env.opts.ResolveFn)
+	env.probeSeq(30) // intern facts[0..29] so variable names resolve
+	want, err := os.ReadFile(filepath.Join("testdata", "legacy_flat", "want.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := env.probeSeq(30)
-	for i, rec := range recs {
-		rec := rec
-		if err := flat.Update(func(ap func(...resolve.ProbeRecord) error) error {
-			if rec.HasVar {
-				flatRepo.AddVar(rec.Var, rec.Meta, rec.Answer)
-			} else {
-				flatRepo.Add(rec.Meta, rec.Answer)
-			}
-			return ap(rec)
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if i == 20 {
-			if err := flat.Snapshot(flatRepo); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	want := saveBytes(t, flatRepo, env.reg.Name)
-	if err := flat.Close(); err != nil {
-		t.Fatal(err)
-	}
+	dir, _ := copyFixture(t, "legacy_flat")
 
 	st, repo, err := Open(dir, env.opts)
 	if err != nil {
@@ -474,6 +465,32 @@ func TestLegacyFlatStoreMigration(t *testing.T) {
 	defer st2.Close()
 	if got := saveBytes(t, repo2, env.reg.Name); !bytes.Equal(got, want) {
 		t.Errorf("post-migration recovery differs:\ngot  %s\nwant %s", got, want)
+	}
+}
+
+func TestLegacyFlatStoreDamageFailsOpen(t *testing.T) {
+	// testdata/legacy_flat_damaged holds a flat-store WAL whose fourth
+	// line is cut short with well-formed lines after it: mid-file damage,
+	// not a crash tear. Open must refuse it and leave both legacy files
+	// byte-for-byte as they were.
+	env := newTestEnv()
+	env.probeSeq(30)
+	dir, before := copyFixture(t, "legacy_flat_damaged")
+	if st, _, err := Open(dir, env.opts); err == nil {
+		st.Close()
+		t.Fatal("Open accepted a legacy WAL with mid-file damage")
+	}
+	for name, want := range before {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatalf("legacy file %s: %v", name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("failed migration modified legacy file %s", name)
+		}
+	}
+	if fileExists(filepath.Join(dir, manifestName)) {
+		t.Error("failed migration wrote a manifest")
 	}
 }
 
