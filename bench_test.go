@@ -9,14 +9,13 @@ package qres_test
 // report tables.
 
 import (
-	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
-	"time"
 
 	"qres/internal/bench"
 	"qres/internal/boolexpr"
@@ -98,10 +97,10 @@ func BenchmarkProvenanceEvaluation(b *testing.B) {
 // comparable. The scale factor defaults to 0.02 and can be raised with
 // QRES_ENGINE_SF (EXPERIMENTS.md regenerates at 0.02, 0.1 and 1);
 // generation uses Lean mode so large scale factors skip the metadata the
-// engine never reads. After all sub-benchmarks run, the per-query
-// measurements are appended as one trajectory point to
-// results/BENCH_engine.json, with serial streaming pinned as the control
-// the parallel speedups are computed against.
+// engine never reads. The streaming mode also reports its speedup and
+// allocation ratio against the materializing control, and each parallel
+// mode its speedup against serial streaming (the pinned control the
+// parallel speedups are computed against).
 func BenchmarkEngine(b *testing.B) {
 	sf := 0.02
 	if s := os.Getenv("QRES_ENGINE_SF"); s != "" {
@@ -156,52 +155,21 @@ func BenchmarkEngine(b *testing.B) {
 				}
 				b.StopTimer()
 				runtime.ReadMemStats(&after)
-				measures[qname][mode.name] = measure{
+				m := measure{
 					ns:    float64(b.Elapsed().Nanoseconds()) / float64(b.N),
 					bytes: float64(after.TotalAlloc-before.TotalAlloc) / float64(b.N),
 				}
+				measures[qname][mode.name] = m
+				ref, str := measures[qname]["reference"], measures[qname]["streaming"]
+				switch {
+				case mode.name == "streaming" && ref.ns > 0:
+					b.ReportMetric(ref.ns/m.ns, "speedup-vs-reference")
+					b.ReportMetric(ref.bytes/m.bytes, "alloc-ratio-vs-reference")
+				case strings.HasPrefix(mode.name, "parallel") && str.ns > 0:
+					b.ReportMetric(str.ns/m.ns, "speedup-vs-streaming")
+				}
 			})
 		}
-	}
-	point := map[string]any{
-		"date":         time.Now().UTC().Format("2006-01-02"),
-		"benchmark":    "engine",
-		"scale_factor": sf,
-		"tuples":       udb.Data().TotalTuples(),
-	}
-	for _, qname := range queries {
-		ref, str := measures[qname]["reference"], measures[qname]["streaming"]
-		if ref.ns == 0 || str.ns == 0 {
-			return // a sub-benchmark was filtered out; nothing to record
-		}
-		q := map[string]any{
-			"control":         "streaming",
-			"control_ns":      ref.ns,
-			"streaming_ns":    str.ns,
-			"speedup":         ref.ns / str.ns,
-			"control_bytes":   ref.bytes,
-			"streaming_bytes": str.bytes,
-			"alloc_ratio":     ref.bytes / str.bytes,
-		}
-		parNS := make(map[string]any, len(parallelWorkers))
-		parSpeedup := make(map[string]any, len(parallelWorkers))
-		for _, w := range parallelWorkers {
-			par := measures[qname][fmt.Sprintf("parallel%d", w)]
-			if par.ns == 0 {
-				return // a sub-benchmark was filtered out; nothing to record
-			}
-			key := strconv.Itoa(w)
-			parNS[key] = par.ns
-			// Parallel speedup is measured against the serial streaming
-			// executor (the pinned control), not the materializing one.
-			parSpeedup[key] = str.ns / par.ns
-		}
-		q["parallel_ns"] = parNS
-		q["parallel_speedup"] = parSpeedup
-		point[qname] = q
-	}
-	if err := appendBenchTrajectory(filepath.Join("results", "BENCH_engine.json"), point); err != nil {
-		b.Logf("recording trajectory point: %v", err)
 	}
 }
 
@@ -239,9 +207,8 @@ func BenchmarkToCNF(b *testing.B) {
 	}
 }
 
-// forestFitDataset builds the forest-training benchmark input: 800 rows
-// over 8 categorical features of cardinality 12, roughly the encoded shape
-// of a seeded TPC-H repository.
+// forestFitDataset builds the synthetic forest-training input: 800 rows
+// over 8 categorical features of cardinality 12.
 func forestFitDataset() *learn.Dataset {
 	d := &learn.Dataset{}
 	for i := 0; i < 800; i++ {
@@ -254,61 +221,75 @@ func forestFitDataset() *learn.Dataset {
 	return d
 }
 
-// BenchmarkForestFit measures random-forest training at the online-
+// nellFitDataset builds the training set of an online NELL retrain at the
+// nell-ms1 benchmark's size and data seed (150 athletes, data seed 1): a
+// Known Probes Repository seeded with 400 answered probes in a seeded
+// order, encoded the way the Learner does (a fresh Encoder over the
+// records' metadata). That is 5 features, one of them (entity) with
+// about 290 codes.
+func nellFitDataset() *learn.Dataset {
+	db := datagen.NELL(datagen.NELLConfig{Athletes: 150, Seed: 1})
+	gt := uncertain.GenerateRDT(db, 4, 1)
+	vars := db.AllVars()
+	repo := resolve.NewRepository()
+	for _, i := range rand.New(rand.NewSource(1)).Perm(len(vars))[:min(400, len(vars))] {
+		ans, _ := gt.Val.Get(vars[i])
+		repo.AddVar(vars[i], db.MetaFor(vars[i]), ans)
+	}
+	return repo.Dataset(learn.NewEncoder(repo.Metas()))
+}
+
+// BenchmarkForestFit measures one 25-tree forest fit at the online-
 // retraining size, comparing the retained pre-optimization implementation
 // (reference: shared sequential RNG, map-based split counting, per-node
-// allocation) against the optimized trainer serially (Workers=1) and with
-// one worker per CPU (Workers=0). After all sub-benchmarks run, the trio
-// is appended as a trajectory point to results/BENCH_learn.json.
+// allocation) against the current trainer serially (Workers=1) and with
+// one worker per CPU (Workers=0). It runs on two datasets: "synthetic"
+// (800 rows, 8 features of cardinality 12) and "nell" (the shape of a
+// nell-ms1 retrain). The serial and parallel modes also report their
+// speedup over reference.
 func BenchmarkForestFit(b *testing.B) {
-	d := forestFitDataset()
-	cfg := learn.ForestConfig{Trees: 25, Seed: 11}
-	nsPerFit := make(map[string]float64)
-	for _, mode := range []struct {
+	for _, ds := range []struct {
 		name string
-		fit  func(int64) *learn.Forest
+		d    *learn.Dataset
 	}{
-		{"reference", func(seed int64) *learn.Forest {
-			c := cfg
-			c.Seed = seed
-			return learn.FitForestReference(d, c)
-		}},
-		{"serial", func(seed int64) *learn.Forest {
-			c := cfg
-			c.Seed, c.Workers = seed, 1
-			return learn.FitForest(d, c)
-		}},
-		{"parallel", func(seed int64) *learn.Forest {
-			c := cfg
-			c.Seed, c.Workers = seed, 0
-			return learn.FitForest(d, c)
-		}},
+		{"synthetic", forestFitDataset()},
+		{"nell", nellFitDataset()},
 	} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				mode.fit(int64(i))
-			}
-			nsPerFit[mode.name] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		})
-	}
-	if nsPerFit["reference"] == 0 || nsPerFit["serial"] == 0 || nsPerFit["parallel"] == 0 {
-		return // a sub-benchmark was filtered out; nothing to record
-	}
-	point := map[string]any{
-		"date":            time.Now().UTC().Format("2006-01-02"),
-		"benchmark":       "forest_fit",
-		"rows":            d.Len(),
-		"features":        d.NumFeatures(),
-		"trees":           cfg.Trees,
-		"reference_ns":    nsPerFit["reference"],
-		"serial_ns":       nsPerFit["serial"],
-		"parallel_ns":     nsPerFit["parallel"],
-		"serial_speedup":  nsPerFit["reference"] / nsPerFit["serial"],
-		"overall_speedup": nsPerFit["reference"] / nsPerFit["parallel"],
-	}
-	if err := appendBenchTrajectory(filepath.Join("results", "BENCH_learn.json"), point); err != nil {
-		b.Logf("recording trajectory point: %v", err)
+		cfg := learn.ForestConfig{Trees: 25, Seed: 11}
+		var refNS float64
+		for _, mode := range []struct {
+			name string
+			fit  func(int64) *learn.Forest
+		}{
+			{"reference", func(seed int64) *learn.Forest {
+				c := cfg
+				c.Seed = seed
+				return learn.FitForestReference(ds.d, c)
+			}},
+			{"serial", func(seed int64) *learn.Forest {
+				c := cfg
+				c.Seed, c.Workers = seed, 1
+				return learn.FitForest(ds.d, c)
+			}},
+			{"parallel", func(seed int64) *learn.Forest {
+				c := cfg
+				c.Seed, c.Workers = seed, 0
+				return learn.FitForest(ds.d, c)
+			}},
+		} {
+			b.Run(ds.name+"/"+mode.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					mode.fit(int64(i))
+				}
+				ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+				if mode.name == "reference" {
+					refNS = ns
+				} else if refNS > 0 {
+					b.ReportMetric(refNS/ns, "speedup-vs-reference")
+				}
+			})
+		}
 	}
 }
 
@@ -317,9 +298,9 @@ func BenchmarkForestFit(b *testing.B) {
 // mode. "full" reproduces the pre-optimization retrain exactly (fresh
 // encoder, full repository re-encode, reference forest trainer per
 // answer); "warm" is the current Learner (encoder reuse, append-only
-// delta encoding, optimized trainer at Workers=GOMAXPROCS). Both process
-// the same answer stream, so ns/retrain is directly comparable; the pair
-// lands in results/BENCH_learn.json.
+// delta encoding, current trainer at Workers=GOMAXPROCS). Both process
+// the same answer stream, so ns/retrain is directly comparable; warm also
+// reports its speedup over full.
 func BenchmarkRetrain(b *testing.B) {
 	sc := bench.Scale{TPCHSF: 0.02, NELLAthletes: 120, InitialProbes: 300, Trees: 25, Reps: 1}
 	w, err := bench.LoadTPCH("Q3", sc, bench.FixedGroundTruth(0.5), 7)
@@ -341,7 +322,7 @@ func BenchmarkRetrain(b *testing.B) {
 	}
 	stream = stream[:retrainsPerIter]
 
-	nsPerRetrain := make(map[string]float64)
+	var fullNS float64
 
 	b.Run("full", func(b *testing.B) {
 		b.ReportAllocs()
@@ -360,7 +341,8 @@ func BenchmarkRetrain(b *testing.B) {
 				}
 			}
 		}
-		nsPerRetrain["full"] = float64(b.Elapsed().Nanoseconds()) / float64(b.N*retrainsPerIter)
+		fullNS = float64(b.Elapsed().Nanoseconds()) / float64(b.N*retrainsPerIter)
+		b.ReportMetric(fullNS, "ns/retrain")
 	})
 
 	b.Run("warm", func(b *testing.B) {
@@ -379,28 +361,12 @@ func BenchmarkRetrain(b *testing.B) {
 				b.Fatalf("warm learner retrained %d times", learner.Retrains())
 			}
 		}
-		nsPerRetrain["warm"] = float64(b.Elapsed().Nanoseconds()) / float64(b.N*retrainsPerIter)
+		warmNS := float64(b.Elapsed().Nanoseconds()) / float64(b.N*retrainsPerIter)
+		b.ReportMetric(warmNS, "ns/retrain")
+		if fullNS > 0 {
+			b.ReportMetric(fullNS/warmNS, "speedup-vs-full")
+		}
 	})
-
-	full, warm := nsPerRetrain["full"], nsPerRetrain["warm"]
-	if full == 0 || warm == 0 {
-		return // a sub-benchmark was filtered out; nothing to record
-	}
-	point := map[string]any{
-		"date":                time.Now().UTC().Format("2006-01-02"),
-		"benchmark":           "retrain",
-		"workload":            "tpch-q3",
-		"scale_factor":        sc.TPCHSF,
-		"repo_size":           baseRepo.Len(),
-		"trees":               sc.Trees,
-		"retrains":            retrainsPerIter,
-		"full_ns_per_retrain": full,
-		"warm_ns_per_retrain": warm,
-		"speedup":             full / warm,
-	}
-	if err := appendBenchTrajectory(filepath.Join("results", "BENCH_learn.json"), point); err != nil {
-		b.Logf("recording trajectory point: %v", err)
-	}
 }
 
 // BenchmarkForestPredict measures per-candidate probability estimation.
@@ -481,9 +447,8 @@ func BenchmarkUtilityScores(b *testing.B) {
 // selection (probabilities, utility, selector) plus answer simplification
 // — with the incremental hot path on and off, on the large TPC-H-like
 // workload. The probe sequences are identical in both modes (see the
-// equivalence tests), so ns/step is directly comparable. After both
-// sub-benchmarks run, the pair is appended as a trajectory point to
-// results/BENCH_resolve.json.
+// equivalence tests), so ns/step is directly comparable; incremental also
+// reports its speedup over full.
 func BenchmarkResolveStepPath(b *testing.B) {
 	sc := bench.Scale{TPCHSF: 0.02, NELLAthletes: 120, InitialProbes: 0, Trees: 10, Reps: 1}
 	w, err := bench.LoadTPCH("Q3", sc, bench.FixedGroundTruth(0.5), 7)
@@ -491,8 +456,7 @@ func BenchmarkResolveStepPath(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := resolve.Config{Utility: resolve.General{}, Learning: resolve.LearnEP}
-	nsPerStep := make(map[string]float64)
-	var steps int
+	var fullNS float64
 	for _, mode := range []struct {
 		name    string
 		disable bool
@@ -516,42 +480,11 @@ func BenchmarkResolveStepPath(b *testing.B) {
 			b.StopTimer()
 			ns := float64(b.Elapsed().Nanoseconds()) / float64(total)
 			b.ReportMetric(ns, "ns/step")
-			nsPerStep[mode.name] = ns
-			steps = total / b.N
+			if mode.disable {
+				fullNS = ns
+			} else if fullNS > 0 {
+				b.ReportMetric(fullNS/ns, "speedup-vs-full")
+			}
 		})
 	}
-	full, inc := nsPerStep["full"], nsPerStep["incremental"]
-	if full == 0 || inc == 0 {
-		return // a sub-benchmark was filtered out; nothing to record
-	}
-	point := map[string]any{
-		"date":                    time.Now().UTC().Format("2006-01-02"),
-		"workload":                "tpch-q3",
-		"config":                  cfg.Name(),
-		"scale_factor":            sc.TPCHSF,
-		"steps":                   steps,
-		"full_ns_per_step":        full,
-		"incremental_ns_per_step": inc,
-		"speedup":                 full / inc,
-	}
-	if err := appendBenchTrajectory(filepath.Join("results", "BENCH_resolve.json"), point); err != nil {
-		b.Logf("recording trajectory point: %v", err)
-	}
-}
-
-// appendBenchTrajectory appends one measurement to a JSON trajectory file
-// (an array of points, newest last).
-func appendBenchTrajectory(path string, point map[string]any) error {
-	var points []map[string]any
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &points); err != nil {
-			return err
-		}
-	}
-	points = append(points, point)
-	data, err := json.MarshalIndent(points, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -47,9 +47,11 @@ type Forest struct {
 }
 
 // FitForest trains a forest on d: each tree sees a bootstrap sample of the
-// rows and √d-feature subsampling per split. Training is deterministic in
-// cfg.Seed for any cfg.Workers value. An empty dataset yields a forest
-// that predicts 0.5 everywhere.
+// rows and √d-feature subsampling per split. The rows are copied once into
+// a feature-major matrix all workers share, and each bootstrap sample is
+// induced as per-row multiplicities over its distinct rows. Training is
+// deterministic in cfg.Seed for any cfg.Workers value. An empty dataset
+// yields a forest that predicts 0.5 everywhere.
 func FitForest(d *Dataset, cfg ForestConfig) *Forest {
 	if cfg.Trees <= 0 {
 		cfg.Trees = 100
@@ -61,29 +63,27 @@ func FitForest(d *Dataset, cfg ForestConfig) *Forest {
 	}
 	featSample := int(math.Ceil(math.Sqrt(float64(d.NumFeatures()))))
 	tcfg := TreeConfig{MaxDepth: cfg.MaxDepth, MinLeaf: cfg.MinLeaf, FeatureSample: featSample}
-	n, mc, nf := d.Len(), maxCode(d), d.NumFeatures()
+	cols := newColumns(d)
 	f.trees = make([]*Tree, cfg.Trees)
 
-	// fitOne trains tree t from its own deterministic RNG stream into a
-	// worker-owned scratch (bootstrap indices and split-count buffers are
-	// pooled across the worker's trees) and writes it positionally.
-	fitOne := func(sc *treeScratch, t int) {
-		rng := rand.New(rand.NewSource(streamSeed(cfg.Seed, t)))
-		idx := sc.idx[:n]
-		for i := range idx {
-			idx[i] = rng.Intn(n)
-		}
-		f.trees[t] = fitNode(d, idx, tcfg, rng, 0, float64(n), sc)
+	// fitOne trains tree t from its own deterministic RNG stream with a
+	// worker-owned grower (the RNG, sample multiplicities and split-count
+	// buffers are reused across the worker's trees) and writes it
+	// positionally.
+	fitOne := func(g *grower, t int) {
+		g.bootstrap(streamSeed(cfg.Seed, t))
+		f.trees[t] = g.fit()
 	}
+	newWorker := func() *grower { return newGrower(cols, tcfg, rand.New(rand.NewSource(0))) }
 
 	workers := EffectiveWorkers(cfg.Workers)
 	if workers > cfg.Trees {
 		workers = cfg.Trees
 	}
 	if workers <= 1 {
-		sc := newTreeScratch(n, mc, nf)
+		g := newWorker()
 		for t := 0; t < cfg.Trees; t++ {
-			fitOne(sc, t)
+			fitOne(g, t)
 		}
 	} else {
 		var next int64 = -1
@@ -92,13 +92,13 @@ func FitForest(d *Dataset, cfg ForestConfig) *Forest {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				sc := newTreeScratch(n, mc, nf)
+				g := newWorker()
 				for {
 					t := int(atomic.AddInt64(&next, 1))
 					if t >= cfg.Trees {
 						return
 					}
-					fitOne(sc, t)
+					fitOne(g, t)
 				}
 			}()
 		}

@@ -10,10 +10,10 @@ import (
 // one shared sequential RNG, map-based split counting, per-node slice
 // allocation — exactly as it shipped before the parallel, warm-started
 // substrate. It exists for two reasons: BenchmarkForestFit and
-// BenchmarkRetrain measure the optimized path against it (the speedups in
-// results/BENCH_learn.json are new-vs-this), and the equivalence tests
+// BenchmarkRetrain measure the current trainer against it (they report
+// the speedup over it as a benchmark metric), and the equivalence tests
 // use its split search as an independent oracle for the dense-counting
-// bestSplit. It is not used by any production path.
+// split search. It is not used by any production path.
 
 // FitForestReference trains a forest with the reference (pre-optimization)
 // loop. Because the reference draws every tree's randomness from one

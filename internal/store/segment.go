@@ -108,15 +108,24 @@ func writeSidecar(dir string, m *segmentMeta) error {
 }
 
 // readSidecar loads a segment's block index; ok is false when the sidecar
-// is absent or unusable (callers rebuild by scanning the segment).
+// is absent or unusable (callers rebuild by scanning the segment). A
+// sidecar is unusable unless it names segment seq, its record range does
+// not overflow, its byte size is not negative and its variable list is
+// strictly ascending (containsVar's binary search relies on it).
 func readSidecar(dir string, seq uint64) (*segmentMeta, bool) {
 	data, err := os.ReadFile(sidecarPath(dir, seq))
 	if err != nil {
 		return nil, false
 	}
 	var m segmentMeta
-	if json.Unmarshal(data, &m) != nil || m.Seq != seq {
+	if json.Unmarshal(data, &m) != nil || m.Seq != seq ||
+		m.endIndex() < m.FirstIndex || m.Bytes < 0 {
 		return nil, false
+	}
+	for i := 1; i < len(m.Vars); i++ {
+		if m.Vars[i-1] >= m.Vars[i] {
+			return nil, false
+		}
 	}
 	return &m, true
 }
