@@ -9,12 +9,10 @@ package qres_test
 // report tables.
 
 import (
-	"fmt"
 	"math/rand"
 	"os"
 	"runtime"
 	"strconv"
-	"strings"
 	"testing"
 
 	"qres/internal/bench"
@@ -90,17 +88,18 @@ func BenchmarkProvenanceEvaluation(b *testing.B) {
 // BenchmarkEngine measures SPJU evaluation on the join-heavy TPC-H-like
 // queries, comparing the pinned materializing executor (engine.RunReference,
 // the pre-streaming control) against the streaming executor (engine.Run:
-// predicate pushdown + Volcano iterators) and the morsel-parallel executor
-// at 2, 4 and 8 workers (engine.RunWith). All modes run the same plans over
+// predicate pushdown + Volcano iterators) at GOMAXPROCS 1 ("streaming")
+// and at the ambient GOMAXPROCS, which the -cpu flag sets ("parallel": one
+// morsel worker per CPU). All modes run the same plans over
 // the same database and produce row-for-row identical results (the
 // equivalence tests in internal/engine enforce this), so ns/op is directly
 // comparable. The scale factor defaults to 0.02 and can be raised with
 // QRES_ENGINE_SF (EXPERIMENTS.md regenerates at 0.02, 0.1 and 1);
 // generation uses Lean mode so large scale factors skip the metadata the
 // engine never reads. The streaming mode also reports its speedup and
-// allocation ratio against the materializing control, and each parallel
+// allocation ratio against the materializing control, and the parallel
 // mode its speedup against serial streaming (the pinned control the
-// parallel speedups are computed against).
+// parallel speedup is computed against).
 func BenchmarkEngine(b *testing.B) {
 	sf := 0.02
 	if s := os.Getenv("QRES_ENGINE_SF"); s != "" {
@@ -114,31 +113,29 @@ func BenchmarkEngine(b *testing.B) {
 	type measure struct{ ns, bytes float64 }
 	measures := make(map[string]map[string]measure)
 	queries := []string{"Q3", "Q10"}
-	parallelWorkers := []int{2, 4, 8}
 	for _, qname := range queries {
 		plan, err := sqlparse.ParseAndCompile(datagen.TPCHQueries()[qname], udb.Data())
 		if err != nil {
 			b.Fatalf("compile %s: %v", qname, err)
 		}
 		measures[qname] = make(map[string]measure)
+		// procs pins GOMAXPROCS for the mode (0 keeps the ambient value,
+		// which -cpu sets): the engine runs one worker per CPU, so one
+		// CPU is the serial streaming executor.
 		modes := []struct {
-			name string
-			run  func() (*engine.Result, error)
+			name  string
+			procs int
+			run   func() (*engine.Result, error)
 		}{
-			{"reference", func() (*engine.Result, error) { return engine.RunReference(udb, plan) }},
-			{"streaming", func() (*engine.Result, error) { return engine.Run(udb, plan) }},
-		}
-		for _, w := range parallelWorkers {
-			w := w
-			modes = append(modes, struct {
-				name string
-				run  func() (*engine.Result, error)
-			}{fmt.Sprintf("parallel%d", w), func() (*engine.Result, error) {
-				return engine.RunWith(udb, plan, engine.Exec{Workers: w})
-			}})
+			{"reference", 0, func() (*engine.Result, error) { return engine.RunReference(udb, plan) }},
+			{"streaming", 1, func() (*engine.Result, error) { return engine.Run(udb, plan) }},
+			{"parallel", 0, func() (*engine.Result, error) { return engine.Run(udb, plan) }},
 		}
 		for _, mode := range modes {
 			b.Run(qname+"/"+mode.name, func(b *testing.B) {
+				if mode.procs > 0 {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(mode.procs))
+				}
 				b.ReportAllocs()
 				var before, after runtime.MemStats
 				runtime.GC()
@@ -165,7 +162,7 @@ func BenchmarkEngine(b *testing.B) {
 				case mode.name == "streaming" && ref.ns > 0:
 					b.ReportMetric(ref.ns/m.ns, "speedup-vs-reference")
 					b.ReportMetric(ref.bytes/m.bytes, "alloc-ratio-vs-reference")
-				case strings.HasPrefix(mode.name, "parallel") && str.ns > 0:
+				case mode.name == "parallel" && str.ns > 0:
 					b.ReportMetric(str.ns/m.ns, "speedup-vs-streaming")
 				}
 			})

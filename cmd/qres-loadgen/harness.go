@@ -54,10 +54,6 @@ type harnessConfig struct {
 	AnswerLatency time.Duration
 	Strategy      string
 	Trees         int
-	// EngineWorkers bounds morsel-parallel query evaluation per session
-	// (sent as the create request's parallelism.engine; 0 leaves the
-	// server default).
-	EngineWorkers int
 	// MaxSessions caps the in-process server (ignored with Addr).
 	MaxSessions int
 	// StoreDir, when set, persists the in-process server's shared
@@ -66,39 +62,33 @@ type harnessConfig struct {
 	StoreDir string
 	Scrape   time.Duration
 	Seed     int64
-	Label    string
 }
 
 // report is one harness run: client-observed latency and throughput plus
-// the server-side counters scraped from /metrics. It is the entry format
-// of results/BENCH_serve.json.
+// the server-side counters scraped from /metrics.
 type report struct {
-	Date              string   `json:"date"`
-	Label             string   `json:"label,omitempty"`
-	Workload          string   `json:"workload"`
-	Queries           []string `json:"queries"`
-	Target            string   `json:"target"`
-	RatePerSec        float64  `json:"rate_per_sec"`
-	DurationSec       float64  `json:"duration_sec"`
-	AnswerLatencyMS   float64  `json:"answer_latency_ms"`
-	Arrivals          int      `json:"arrivals"`
-	SessionsCreated   int      `json:"sessions_created"`
-	SessionsCompleted int      `json:"sessions_completed"`
-	Rejected429       int      `json:"rejected_429"`
-	ClientErrors      int      `json:"client_errors"`
-	Answers           int      `json:"answers"`
-	EngineWorkers     int      `json:"engine_workers,omitempty"`
-	ComponentGroups   int64    `json:"peak_component_groups"`
-	ThroughputPerSec  float64  `json:"throughput_answers_per_sec"`
-	ProbeSamples      int      `json:"probe_samples"`
-	P50ProbeMS        float64  `json:"p50_probe_ms"`
-	P90ProbeMS        float64  `json:"p90_probe_ms"`
-	P99ProbeMS        float64  `json:"p99_probe_ms"`
-	MaxProbeMS        float64  `json:"max_probe_ms"`
-	RetrainStalls     int64    `json:"retrain_stalls"`
-	ServerRejected    int64    `json:"server_rejected_429"`
-	TraceDropped      int64    `json:"trace_dropped"`
-	ServerP99ProbeMS  float64  `json:"server_p99_probe_route_ms"`
+	Workload          string
+	Target            string
+	RatePerSec        float64
+	DurationSec       float64
+	AnswerLatencyMS   float64
+	Arrivals          int
+	SessionsCreated   int
+	SessionsCompleted int
+	Rejected429       int
+	ClientErrors      int
+	Answers           int
+	ComponentGroups   int64
+	ThroughputPerSec  float64
+	ProbeSamples      int
+	P50ProbeMS        float64
+	P90ProbeMS        float64
+	P99ProbeMS        float64
+	MaxProbeMS        float64
+	RetrainStalls     int64
+	ServerRejected    int64
+	TraceDropped      int64
+	ServerP99ProbeMS  float64
 }
 
 // Summary renders the run as the human-readable block the CI smoke step
@@ -114,8 +104,7 @@ func (r *report) Summary() string {
 	fmt.Fprintf(&b, "  throughput=%.1f answers/s (%d answers)\n", r.ThroughputPerSec, r.Answers)
 	fmt.Fprintf(&b, "  server: retrain_stalls=%d rejected_429=%d trace_dropped=%d probe-route p99=%.2fms\n",
 		r.RetrainStalls, r.ServerRejected, r.TraceDropped, r.ServerP99ProbeMS)
-	fmt.Fprintf(&b, "  sharding: peak_component_groups=%d engine_workers=%d\n",
-		r.ComponentGroups, r.EngineWorkers)
+	fmt.Fprintf(&b, "  sharding: peak_component_groups=%d\n", r.ComponentGroups)
 	return b.String()
 }
 
@@ -251,9 +240,6 @@ func (c *loadClient) driveSession(ctx context.Context, cfg harnessConfig, query 
 		Seed:     rng.Int63(),
 		Trees:    cfg.Trees,
 	}
-	if cfg.EngineWorkers != 0 {
-		create.Parallelism = &server.ParallelismJSON{Engine: cfg.EngineWorkers}
-	}
 	var info server.SessionInfo
 	status, err := c.doJSON(ctx, http.MethodPost, "/v1/sessions", create, &info)
 	switch {
@@ -313,7 +299,7 @@ func (c *loadClient) driveSession(ctx context.Context, cfg harnessConfig, query 
 
 // runHarness executes one open-loop run and assembles the report.
 func runHarness(cfg harnessConfig) (*report, error) {
-	names, sqls, err := workloadQueries(cfg)
+	_, sqls, err := workloadQueries(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -464,10 +450,7 @@ arrivalLoop:
 	client.ctr.mu.Lock()
 	defer client.ctr.mu.Unlock()
 	rep := &report{
-		Date:              time.Now().Format("2006-01-02"),
-		Label:             cfg.Label,
 		Workload:          cfg.Data,
-		Queries:           names,
 		Target:            targetLabel,
 		RatePerSec:        cfg.Rate,
 		DurationSec:       cfg.Duration.Seconds(),
@@ -478,7 +461,6 @@ arrivalLoop:
 		Rejected429:       client.ctr.rejected,
 		ClientErrors:      client.ctr.errors,
 		Answers:           client.ctr.answers,
-		EngineWorkers:     cfg.EngineWorkers,
 		ComponentGroups:   int64(peakGroups),
 		ThroughputPerSec:  float64(client.ctr.answers) / elapsed.Seconds(),
 		ProbeSamples:      n,

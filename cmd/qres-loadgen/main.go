@@ -6,11 +6,10 @@
 // /metrics surface is scraped alongside the client-side latency samples.
 //
 // The run report — p50/p99 probe latency, answer throughput, retrain
-// stalls on the answer path, and 429 backpressure rejections — is printed
-// and appended to results/BENCH_serve.json, whose header pins a control
-// run so regressions are unambiguous (the sieswi benchmark-control
-// idiom). With no -addr the harness starts an in-process qres-serve
-// equivalent, which is how the CI smoke step runs it:
+// stalls on the answer path, and 429 backpressure rejections — is printed;
+// the command writes no files. With no -addr the harness starts an
+// in-process qres-serve equivalent, which is how the CI smoke step runs
+// it:
 //
 //	go run ./cmd/qres-loadgen -data paper -rate 20 -duration 3s -answer-latency 1ms
 //	go run ./cmd/qres-loadgen -addr http://127.0.0.1:8080 -data tpch -rate 5 -duration 1m
@@ -38,13 +37,10 @@ func main() {
 		answerLat = flag.Duration("answer-latency", 5*time.Millisecond, "simulated oracle think time per answer")
 		strategy  = flag.String("strategy", "general", "session strategy (general, qvalue, ro, random, greedy, lal-only)")
 		trees     = flag.Int("trees", 25, "forest size per session")
-		engineW   = flag.Int("engine-workers", 0, "engine workers per session query evaluation (0: server default, 1: serial)")
 		sessions  = flag.Int("max-sessions", 64, "in-process server session cap (drives 429 backpressure)")
 		storeDir  = flag.String("store-dir", "", "persist the in-process server's repository here (measures the durable answer path)")
 		scrape    = flag.Duration("scrape", 2*time.Second, "/metrics scrape interval")
 		seed      = flag.Int64("seed", 1, "seed for arrival jitter, query mix and synthetic answers")
-		out       = flag.String("out", "results/BENCH_serve.json", "bench results file (empty: don't write)")
-		label     = flag.String("label", "", "free-form run label recorded in the results file")
 	)
 	flag.Parse()
 
@@ -59,12 +55,10 @@ func main() {
 		AnswerLatency: *answerLat,
 		Strategy:      *strategy,
 		Trees:         *trees,
-		EngineWorkers: *engineW,
 		MaxSessions:   *sessions,
 		StoreDir:      *storeDir,
 		Scrape:        *scrape,
 		Seed:          *seed,
-		Label:         *label,
 	}
 	if *queries != "" {
 		cfg.Queries = strings.Split(*queries, ",")
@@ -75,12 +69,6 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Print(rep.Summary())
-	if *out != "" {
-		if err := appendRun(*out, rep); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("appended run to %s\n", *out)
-	}
 	if rep.ProbeSamples == 0 {
 		fmt.Fprintln(os.Stderr, "qres-loadgen: no probe latency samples collected")
 		os.Exit(1)

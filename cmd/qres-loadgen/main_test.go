@@ -1,9 +1,6 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -49,47 +46,6 @@ func TestRunHarnessSmoke(t *testing.T) {
 		if !strings.Contains(sum, want) {
 			t.Errorf("summary missing %q:\n%s", want, sum)
 		}
-	}
-}
-
-// TestAppendRunPinsControl checks the bench-control idiom: the first run
-// is pinned as the baseline control, later runs only append.
-func TestAppendRunPinsControl(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "results", "BENCH_serve.json")
-	first := &report{Date: "2026-01-01", Workload: "paper", P99ProbeMS: 1.5}
-	second := &report{Date: "2026-01-02", Workload: "paper", P99ProbeMS: 2.5}
-
-	if err := appendRun(path, first); err != nil {
-		t.Fatal(err)
-	}
-	if err := appendRun(path, second); err != nil {
-		t.Fatal(err)
-	}
-
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bf benchFile
-	if err := json.Unmarshal(data, &bf); err != nil {
-		t.Fatal(err)
-	}
-	if bf.Baseline.Control.Date != "2026-01-01" || bf.Baseline.PinnedDate != "2026-01-01" {
-		t.Errorf("control not pinned to first run: %+v", bf.Baseline)
-	}
-	if bf.Baseline.Note == "" || bf.Baseline.Target == "" {
-		t.Error("control header missing note/target")
-	}
-	if len(bf.Runs) != 2 || bf.Runs[1].P99ProbeMS != 2.5 {
-		t.Errorf("runs not appended in order: %+v", bf.Runs)
-	}
-
-	// A corrupt file is refused, not overwritten.
-	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := appendRun(path, first); err == nil {
-		t.Error("appendRun overwrote an unparseable results file")
 	}
 }
 

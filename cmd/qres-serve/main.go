@@ -32,7 +32,6 @@ import (
 
 	"qres/internal/datagen"
 	"qres/internal/obs"
-	"qres/internal/resolve"
 	"qres/internal/server"
 	"qres/internal/store"
 	"qres/internal/testdb"
@@ -52,7 +51,6 @@ func main() {
 		compactIntv = flag.Duration("compact-interval", time.Minute, "background compaction interval (<=0 disables)")
 		maxSessions = flag.Int("max-sessions", 64, "maximum concurrently live sessions")
 		ttl         = flag.Duration("ttl", 30*time.Minute, "idle session time-to-live")
-		engineW     = flag.Int("engine-workers", 0, "default engine workers per query evaluation (0 = per CPU, 1 = serial)")
 		tracePath   = flag.String("trace", "", "append pipeline span trace to this JSONL file")
 		slowPath    = flag.String("slow-log", "", "append slow-request log to this JSONL file")
 		slowAfter   = flag.Duration("slow-threshold", 500*time.Millisecond, "slow-request latency threshold")
@@ -68,7 +66,7 @@ func main() {
 	opts := serveOptions{
 		addr: *addr, data: *data, sf: *sf, athletes: *athletes, seed: *seed,
 		storeDir: dir, segmentBytes: *segBytes, compactInterval: *compactIntv,
-		maxSessions: *maxSessions, ttl: *ttl, engineWorkers: *engineW,
+		maxSessions: *maxSessions, ttl: *ttl,
 		tracePath: *tracePath, slowPath: *slowPath,
 		slowAfter: *slowAfter, stallAfter: *stallAfter, debugAddr: *debugAddr,
 	}
@@ -87,7 +85,6 @@ type serveOptions struct {
 	segmentBytes          int64
 	compactInterval       time.Duration
 	maxSessions           int
-	engineWorkers         int
 	ttl                   time.Duration
 	tracePath, slowPath   string
 	slowAfter, stallAfter time.Duration
@@ -131,7 +128,6 @@ func run(o serveOptions) error {
 		DB:                    udb,
 		MaxSessions:           o.maxSessions,
 		SessionTTL:            o.ttl,
-		Parallel:              resolve.Parallelism{Engine: o.engineWorkers},
 		Registry:              reg,
 		SlowRequestThreshold:  o.slowAfter,
 		RetrainStallThreshold: o.stallAfter,

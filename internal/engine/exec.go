@@ -112,43 +112,44 @@ func (s worldSource) Relation(name string) (*table.Relation, bool) {
 func (s worldSource) Prov(string, int) boolexpr.Expr { return boolexpr.True() }
 
 // Exec bundles the execution options of one streaming run: an optional
-// instrumentation handle and the morsel-parallelism settings.
+// instrumentation handle.
 //
-// Workers selects the engine worker count: 0 means one worker per CPU
-// (runtime.GOMAXPROCS), 1 pins the run to the serial streaming executor,
-// and n ≥ 2 fans eligible pipeline fragments out across n workers. The
+// The streaming executor fans eligible pipeline fragments out across one
+// worker per CPU (runtime.GOMAXPROCS) over morsels of 1024 driver rows. The
 // parallel path is bit-identical to the serial one — same columns, tuple
-// order and provenance expressions — for any worker count; see
-// ARCHITECTURE.md "Parallel execution" for the determinism argument.
+// order and provenance expressions — for any worker count, so the count is
+// not an option; see ARCHITECTURE.md "Parallel execution" for the
+// determinism argument.
 //
-// MorselSize is the number of driver-relation rows per morsel; 0 selects
-// the default (1024). Smaller morsels only matter for tests that want many
-// morsels over tiny relations.
+// When Obs carries a metrics registry the run maintains the engine
+// counters (engine_rows_scanned_total, engine_rows_emitted_total,
+// engine_predicates_pushed_total, engine_topk_fused_total). When it carries
+// a span sink the run additionally emits a query_eval span (annotated with
+// the original and rewritten plan shapes and the output cardinality), one
+// query_op span per streaming operator (rows produced, inclusive subtree
+// time), and a provenance span summarizing the constructed annotations.
 type Exec struct {
-	Obs        *obs.Obs
-	Workers    int
-	MorselSize int
+	Obs *obs.Obs
 }
 
 // Run evaluates plan over the uncertain database with provenance tracking
 // (Step 2 of the framework). Each output row's expression is True under a
 // valuation iff the row belongs to the query answer on that possible world.
 //
-// Run uses the serial streaming executor: the plan is rewritten (predicate
+// Run uses the streaming executor: the plan is rewritten (predicate
 // pushdown, top-k fusion — see Rewrite), compiled to a tree of Volcano
-// iterators and drained. Results are row-for-row identical to the
-// materializing reference executor, which stays available as RunReference
-// for equivalence testing. RunWith adds morsel-driven parallelism with the
-// same result contract.
+// iterators, fanned out over morsels where a fragment qualifies, and
+// drained. Results are row-for-row identical to the materializing
+// reference executor, which stays available as RunReference for
+// equivalence testing.
 func Run(db *uncertain.DB, plan Node) (*Result, error) {
-	return RunWith(db, plan, Exec{Workers: 1})
+	return RunWith(db, plan, Exec{})
 }
 
-// RunWith evaluates plan on the streaming executor with explicit execution
-// options — the entry point for morsel-parallel evaluation. Results are
+// RunWith is Run with explicit execution options. Results are
 // bit-identical to Run for every Exec value.
 func RunWith(db *uncertain.DB, plan Node, x Exec) (*Result, error) {
-	return runStream(uncertainSource{db}, plan, x)
+	return runStream(uncertainSource{db}, plan, x, 0, morselRows)
 }
 
 // RunReference evaluates plan with the pre-streaming materializing
@@ -165,23 +166,12 @@ func RunReference(db *uncertain.DB, plan Node) (*Result, error) {
 	return &Result{Columns: schema, Rows: rows}, nil
 }
 
-// RunObserved is Run with instrumentation. When o carries a metrics
-// registry it maintains the engine counters (engine_rows_scanned_total,
-// engine_rows_emitted_total, engine_predicates_pushed_total,
-// engine_topk_fused_total). When o carries a span sink it additionally
-// emits a query_eval span (annotated with the original and rewritten plan
-// shapes and the output cardinality), one query_op span per streaming
-// operator (rows produced, inclusive subtree time), and a provenance span
-// summarizing the constructed annotations.
-func RunObserved(db *uncertain.DB, plan Node, o *obs.Obs) (*Result, error) {
-	return runStream(uncertainSource{db}, plan, Exec{Obs: o, Workers: 1})
-}
-
 // runStream rewrites, compiles and drains a plan against src under the
 // given execution options, reporting through x.Obs (which may be nil).
-func runStream(src Source, plan Node, x Exec) (*Result, error) {
+// workers ≤ 0 means one per CPU and 1 compiles a fully serial tree; morsel
+// is the number of driver-relation rows per morsel.
+func runStream(src Source, plan Node, x Exec, workers, morsel int) (*Result, error) {
 	o := x.Obs
-	workers := x.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -189,7 +179,7 @@ func runStream(src Source, plan Node, x Exec) (*Result, error) {
 	rewritten, rst := rewriteWithStats(plan)
 	ctx := &compileCtx{
 		src: src, stats: &execStats{},
-		workers: workers, morsel: x.MorselSize,
+		workers: workers, morsel: morsel,
 		trace: o.Tracing(),
 	}
 	c, err := compileInput(rewritten, ctx)
@@ -255,9 +245,9 @@ func drain(c compiled) ([]Row, error) {
 // semantics and returns the set of output tuple keys. Experiments use it to
 // compute the ground-truth answer Q(D_val*) independently of provenance,
 // which is how the resolution-correctness invariant is checked end to end.
-// Like Run it executes on the serial streaming path.
+// As a checker rather than a serving path it runs on one goroutine.
 func RunWorld(db *table.Database, plan Node) (map[string]table.Tuple, error) {
-	res, err := runStream(worldSource{db}, plan, Exec{Workers: 1})
+	res, err := runStream(worldSource{db}, plan, Exec{}, 1, morselRows)
 	if err != nil {
 		return nil, err
 	}

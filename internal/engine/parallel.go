@@ -35,10 +35,10 @@ import (
 // Limit run serially above the exchange; only the per-row fragment below
 // them fans out.
 
-// defaultMorselSize is the number of driver-relation rows per morsel when
-// Exec.MorselSize is unset. Fragments over relations that do not fill at
-// least two morsels run serially — the pool overhead would dominate.
-const defaultMorselSize = 1024
+// morselRows is the number of driver-relation rows per morsel.
+// Fragments over relations that do not fill at least two morsels run
+// serially — the pool overhead would dominate.
+const morselRows = 1024
 
 // compileInput compiles a plan subtree that feeds a pipeline breaker (or
 // the executor's root drain), fanning its pipeline fragment out across the
@@ -106,9 +106,6 @@ func tryExchange(n Node, ctx *compileCtx) (compiled, bool) {
 		return compiled{}, false
 	}
 	morsel := ctx.morsel
-	if morsel <= 0 {
-		morsel = defaultMorselSize
-	}
 	if rel.Len() <= morsel {
 		return compiled{}, false
 	}

@@ -290,7 +290,7 @@ func TestParallelRandomPlans(t *testing.T) {
 				t.Fatalf("reference failed on generated plan: %v", err)
 			}
 			for _, w := range []int{1, 2, 4, 8} {
-				got, err := engine.RunWith(udb, plan, engine.Exec{Workers: w, MorselSize: 8})
+				got, err := engine.RunWithWorkers(udb, plan, engine.Exec{}, w, 8)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", w, err)
 				}
@@ -315,17 +315,17 @@ func TestParallelRandomPlans(t *testing.T) {
 	}
 }
 
-// TestParallelWorkerDefaults pins the Exec.Workers contract: 0 resolves to
+// TestParallelWorkerDefaults pins the worker-count default: 0 resolves to
 // one worker per CPU and still matches the serial result.
 func TestParallelWorkerDefaults(t *testing.T) {
 	udb := propDB(t)
 	plan := engine.Join(engine.Scan("A", "a"), engine.Scan("B", "b"),
 		engine.Cmp(engine.Col("a", "k"), engine.OpEq, engine.Col("b", "k")))
-	want, err := engine.Run(udb, plan)
+	want, err := engine.RunWithWorkers(udb, plan, engine.Exec{}, 1, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := engine.RunWith(udb, plan, engine.Exec{MorselSize: 8}) // Workers: 0
+	got, err := engine.RunWithWorkers(udb, plan, engine.Exec{}, 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestParallelObservability(t *testing.T) {
 		engine.Cmp(engine.Col("a", "k"), engine.OpEq, engine.Col("b", "k")))
 	reg := obs.NewRegistry()
 	o := obs.New("test", nil, reg)
-	if _, err := engine.RunWith(udb, plan, engine.Exec{Workers: 4, MorselSize: 8, Obs: o}); err != nil {
+	if _, err := engine.RunWithWorkers(udb, plan, engine.Exec{Obs: o}, 4, 8); err != nil {
 		t.Fatal(err)
 	}
 	counter := func(name string) int64 { return reg.Counter(name, "test").Value() }

@@ -21,25 +21,30 @@ import (
 // forces multi-morsel execution even on test-sized relations.
 var equivalenceWorkers = []int{1, 2, 4, 8}
 
-const testMorselSize = 16
+const testMorsel = 16
 
 // assertEquivalent runs plan on every executor — the serial streaming path
-// (Run, which rewrites and compiles to iterators), the morsel-parallel
-// path for each worker count, and the pinned materializing reference
-// (RunReference) — and requires row-for-row identical results: same
-// columns, same row order, same tuples, same provenance expressions.
+// (one worker: rewritten and compiled to iterators), the morsel-parallel
+// path for each further worker count, Run at the ambient GOMAXPROCS, and
+// the pinned materializing reference (RunReference) — and requires
+// row-for-row identical results: same columns, same row order, same
+// tuples, same provenance expressions.
 func assertEquivalent(t *testing.T, udb *uncertain.DB, plan engine.Node) {
 	t.Helper()
 	want, werr := engine.RunReference(udb, plan)
-	for _, w := range equivalenceWorkers {
+	for _, w := range append(equivalenceWorkers, 0) {
 		mode := fmt.Sprintf("parallel(%d)", w)
 		var got *engine.Result
 		var gerr error
-		if w == 1 {
-			mode = "streaming"
+		switch w {
+		case 0:
+			mode = "Run"
 			got, gerr = engine.Run(udb, plan)
-		} else {
-			got, gerr = engine.RunWith(udb, plan, engine.Exec{Workers: w, MorselSize: testMorselSize})
+		case 1:
+			mode = "streaming"
+			fallthrough
+		default:
+			got, gerr = engine.RunWithWorkers(udb, plan, engine.Exec{}, w, testMorsel)
 		}
 		if (werr == nil) != (gerr == nil) {
 			t.Fatalf("error mismatch: reference=%v %s=%v", werr, mode, gerr)
@@ -75,14 +80,14 @@ func assertEquivalent(t *testing.T, udb *uncertain.DB, plan engine.Node) {
 func assertEquivalentErr(t *testing.T, udb *uncertain.DB, plan engine.Node) {
 	t.Helper()
 	_, werr := engine.RunReference(udb, plan)
-	_, gerr := engine.Run(udb, plan)
+	_, gerr := engine.RunWithWorkers(udb, plan, engine.Exec{}, 1, testMorsel)
 	if werr == nil || gerr == nil {
 		t.Fatalf("expected both executors to fail: reference=%v streaming=%v", werr, gerr)
 	}
 	if werr.Error() != gerr.Error() {
 		t.Fatalf("error text mismatch:\nreference: %v\nstreaming: %v", werr, gerr)
 	}
-	_, perr := engine.RunWith(udb, plan, engine.Exec{Workers: 4, MorselSize: testMorselSize})
+	_, perr := engine.RunWithWorkers(udb, plan, engine.Exec{}, 4, testMorsel)
 	if perr == nil || perr.Error() != werr.Error() {
 		t.Fatalf("error text mismatch:\nreference: %v\nparallel(4): %v", werr, perr)
 	}
@@ -349,7 +354,7 @@ func TestEngineObservability(t *testing.T) {
 	reg := obs.NewRegistry()
 	sink := &obs.Collector{}
 	o := obs.New("test", sink, reg)
-	if _, err := engine.RunObserved(udb, testdb.PaperQuery(), o); err != nil {
+	if _, err := engine.RunWith(udb, testdb.PaperQuery(), engine.Exec{Obs: o}); err != nil {
 		t.Fatal(err)
 	}
 	counter := func(name string) int64 { return reg.Counter(name, "test").Value() }
@@ -386,7 +391,7 @@ func TestEngineObservability(t *testing.T) {
 	// Without a sink the same run keeps counters but skips per-op spans.
 	reg2 := obs.NewRegistry()
 	o2 := obs.New("test", nil, reg2)
-	if _, err := engine.RunObserved(udb, testdb.PaperQuery(), o2); err != nil {
+	if _, err := engine.RunWith(udb, testdb.PaperQuery(), engine.Exec{Obs: o2}); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg2.Counter("engine_rows_scanned_total", "test").Value(); got == 0 {

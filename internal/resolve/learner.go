@@ -118,7 +118,6 @@ type Learner struct {
 	trees          int
 	minTrain       int
 	seed           int64
-	forestWorkers  int
 	fullRetrain    bool
 	knownProbs     map[boolexpr.Var]float64
 	obs            *obs.Obs
@@ -146,9 +145,6 @@ type LearnerConfig struct {
 	// to equal probabilities (the paper uses 20: "we use EP to select
 	// probes until the probes repository is of size at least 20").
 	MinTrain int
-	// ForestWorkers bounds forest-training parallelism (0 = one worker
-	// per CPU, 1 = serial). Models are bit-identical for any value.
-	ForestWorkers int
 	// FullRetrain disables the warm-started retrain path: every
 	// (re)training pass rebuilds the encoder and re-encodes the whole
 	// repository, as the pre-warm-start implementation did. Models are
@@ -194,7 +190,6 @@ func NewLearner(db *uncertain.DB, repo *Repository, cfg LearnerConfig) *Learner 
 		trees:          cfg.Trees,
 		minTrain:       cfg.MinTrain,
 		seed:           cfg.Seed,
-		forestWorkers:  cfg.ForestWorkers,
 		fullRetrain:    cfg.FullRetrain,
 		knownProbs:     cfg.KnownProbs,
 		obs:            cfg.Obs,
@@ -202,7 +197,7 @@ func NewLearner(db *uncertain.DB, repo *Repository, cfg LearnerConfig) *Learner 
 		xc:             newFeatureCache(),
 	}
 	if l.mode != LearnEP && l.knownProbs == nil {
-		l.obs.Gauge("forest_workers", float64(learn.EffectiveWorkers(cfg.ForestWorkers)))
+		l.obs.Gauge("forest_workers", float64(learn.EffectiveWorkers(0)))
 		l.mu.Lock()
 		l.retrainLocked()
 		l.mu.Unlock()
@@ -295,10 +290,9 @@ func (l *Learner) retrainLocked() {
 		l.forest = nil
 	default:
 		f := learn.FitForest(l.data, learn.ForestConfig{
-			Trees:   l.trees,
-			Seed:    l.seed + int64(l.retrains),
-			Workers: l.forestWorkers,
-			Obs:     l.obs,
+			Trees: l.trees,
+			Seed:  l.seed + int64(l.retrains),
+			Obs:   l.obs,
 		})
 		l.clf = f
 		l.forest = f

@@ -34,22 +34,6 @@ const (
 	BaselineLALOnly
 )
 
-// Parallelism consolidates the session's worker-count knobs, one field
-// per parallel dimension. The zero value of every field means "default"
-// (one worker per CPU); 1 forces serial execution. Each dimension is a
-// pure latency/throughput knob: trained models, utility scores and probe
-// choices are bit-identical for any worker counts. Component-shard
-// scoring has no knob: it runs on up to GOMAXPROCS workers.
-type Parallelism struct {
-	// Forest bounds forest-training parallelism in the Learner.
-	Forest int
-	// Engine bounds morsel-driven parallelism at query-evaluation time
-	// (the engine's streaming executor). It is consumed by the serving
-	// layer and the public DB.Query path, not by the resolution loop
-	// itself, which operates on an already-evaluated result.
-	Engine int
-}
-
 // Config assembles a resolution-session configuration: either a baseline,
 // or a (utility function × learning mode × combination function) framework
 // instantiation as compared throughout the paper's Section 7.
@@ -99,19 +83,13 @@ type Config struct {
 	// handle disables instrumentation at near-zero cost.
 	Obs *obs.Obs
 
-	// Parallel bounds worker fan-out per dimension (forest training,
-	// query evaluation). Zero-valued fields default to one worker per CPU.
-	Parallel Parallelism
-
 	// DisableIncremental turns off incremental scoring: every round then
 	// recomputes all probabilities and utility scores from scratch instead
 	// of scoring through the per-component shards and their caches.
 	// Incremental scoring is ON by default — probe choices are
 	// bit-identical either way, because the caches reuse the full path's
 	// arithmetic on unchanged inputs — so the full recompute serves as the
-	// equivalence oracle and benchmark control. Wire APIs expose the
-	// positive form ("incremental", default true) instead of this double
-	// negative.
+	// equivalence oracle and benchmark control; no wire API exposes it.
 	DisableIncremental bool
 	// FullRetrain disables the Learner's warm-started retrain path (see
 	// LearnerConfig.FullRetrain); models are identical either way.
@@ -355,7 +333,6 @@ func NewSession(db *uncertain.DB, result *engine.Result, orc Oracle, repo *Repos
 		Model:          cfg.Model,
 		Trees:          cfg.Trees,
 		MinTrain:       cfg.MinTrain,
-		ForestWorkers:  cfg.Parallel.Forest,
 		FullRetrain:    cfg.FullRetrain,
 		LAL:            cfg.LAL,
 		Seed:           cfg.Seed,

@@ -24,27 +24,8 @@ type CreateSessionRequest struct {
 	Model string `json:"model,omitempty"`
 	// Seed fixes the session's random choices (0 is a valid fixed seed).
 	Seed int64 `json:"seed,omitempty"`
-	// Trees overrides the forest size (default 100).
+	// Trees overrides the forest size (default 100, at most 1000).
 	Trees int `json:"trees,omitempty"`
-	// Parallelism bounds the session's worker counts per parallel
-	// dimension. Omitted dimensions (or the whole object) default to one
-	// worker per CPU; results are bit-identical for any combination.
-	Parallelism *ParallelismJSON `json:"parallelism,omitempty"`
-	// Incremental toggles the incremental path: per-component shards with
-	// their scoring caches. Omitted means on; probe choices are identical
-	// either way, so switching it off is purely diagnostic.
-	Incremental *bool `json:"incremental,omitempty"`
-}
-
-// ParallelismJSON is the wire form of the per-dimension worker bounds
-// (zero = one worker per CPU, 1 = serial). Per-component probe scoring
-// has no bound: it runs on up to GOMAXPROCS workers.
-type ParallelismJSON struct {
-	// Forest bounds forest-training parallelism in the Learner.
-	Forest int `json:"forest,omitempty"`
-	// Engine bounds morsel-driven parallelism when the session's query is
-	// evaluated. Results are bit-identical for any value.
-	Engine int `json:"engine,omitempty"`
 }
 
 // SessionInfo describes one live session.
@@ -68,8 +49,6 @@ type SessionInfo struct {
 	// the same query and repository state share a group and are co-located
 	// on one shard group over the shared repository view.
 	ComponentGroup string `json:"component_group"`
-	// Parallelism reports the session's effective worker bounds.
-	Parallelism ParallelismJSON `json:"parallelism"`
 	// CreatedUnix and LastUsedUnix are Unix seconds.
 	CreatedUnix  int64 `json:"created_unix"`
 	LastUsedUnix int64 `json:"last_used_unix"`

@@ -2,9 +2,9 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -116,11 +116,12 @@ func TestErrorCodeContract(t *testing.T) {
 	}
 }
 
-// The parallelism object has exactly two dimensions, forest and engine.
-// Create requests that still carry the removed worker fields (the
-// fixtures in testdata/removed_worker_fields.json) succeed with those
-// fields ignored — the decoder is not strict, and worker counts never
-// change results — and SessionInfo emits only the two dimensions.
+// Worker counts and the incremental toggle are not part of the API: every
+// pool follows GOMAXPROCS and the full-recompute path is a test oracle
+// only. Create requests that still carry those fields (the fixtures in
+// testdata/removed_worker_fields.json) succeed with the fields ignored —
+// the decoder is not strict — and SessionInfo, from create and from GET,
+// carries no parallelism key.
 func TestParallelismFieldCompat(t *testing.T) {
 	_, base := startServer(t, Config{})
 
@@ -129,24 +130,22 @@ func TestParallelismFieldCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 	var fixtures []struct {
-		Name        string          `json:"name"`
-		Request     json.RawMessage `json:"request"`
-		Parallelism map[string]any  `json:"parallelism"`
+		Name    string          `json:"name"`
+		Request json.RawMessage `json:"request"`
 	}
 	if err := json.Unmarshal(raw, &fixtures); err != nil {
 		t.Fatal(err)
+	}
+	if len(fixtures) == 0 {
+		t.Fatal("no fixtures")
 	}
 	for _, fx := range fixtures {
 		st, body := postRaw(t, base+"/v1/sessions", string(fx.Request))
 		if st != http.StatusCreated {
 			t.Fatalf("%s: status %d (%v)", fx.Name, st, body)
 		}
-		par, ok := body["parallelism"].(map[string]any)
-		if !ok {
-			t.Fatalf("%s: SessionInfo missing parallelism object: %v", fx.Name, body)
-		}
-		if !reflect.DeepEqual(par, fx.Parallelism) {
-			t.Errorf("%s: parallelism = %v, want %v", fx.Name, par, fx.Parallelism)
+		if _, ok := body["parallelism"]; ok {
+			t.Errorf("%s: create SessionInfo carries parallelism: %v", fx.Name, body)
 		}
 		if g, _ := body["component_group"].(string); len(g) != 16 {
 			t.Errorf("%s: component_group not a 16-hex signature: %q", fx.Name, g)
@@ -154,30 +153,46 @@ func TestParallelismFieldCompat(t *testing.T) {
 		if c, _ := body["components"].(float64); c < 1 {
 			t.Errorf("%s: components not reported: %v", fx.Name, body["components"])
 		}
+
+		id, _ := body["id"].(string)
+		resp, err := http.Get(base + "/v1/sessions/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var again map[string]any
+		err = json.NewDecoder(resp.Body).Decode(&again)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: decode info: %v", fx.Name, err)
+		}
+		if again["id"] != id {
+			t.Fatalf("%s: GET session info: %v", fx.Name, again)
+		}
+		if _, ok := again["parallelism"]; ok {
+			t.Errorf("%s: GET SessionInfo carries parallelism: %v", fx.Name, again)
+		}
+	}
+}
+
+// A create request asking for more trees than the server allows is
+// refused with 400 bad_request before any query or training runs, and the
+// server keeps serving afterwards.
+func TestOversizedTreesRejected(t *testing.T) {
+	_, base := startServer(t, Config{})
+
+	for _, trees := range []int{maxTrees + 1, 2_000_000_000, -1} {
+		payload := fmt.Sprintf(`{"query": "SELECT Organization FROM Roles", "trees": %d}`, trees)
+		if st, body := postRaw(t, base+"/v1/sessions", payload); st != http.StatusBadRequest {
+			t.Errorf("trees=%d: status %d, want %d", trees, st, http.StatusBadRequest)
+		} else if c := errCode(t, body); c != CodeBadRequest {
+			t.Errorf("trees=%d: code %q, want %q", trees, c, CodeBadRequest)
+		}
 	}
 
-	// incremental: false is accepted (sessions fall back to full rescans;
-	// resolution behavior is covered by the resolve-level equivalence tests).
-	st, body := postRaw(t, base+"/v1/sessions",
-		`{"query": "SELECT Organization FROM Roles", "incremental": false}`)
-	if st != http.StatusCreated {
-		t.Fatalf("create with incremental=false: status %d (%v)", st, body)
-	}
-
-	// The info endpoint emits the same parallelism shape as create.
-	id, _ := body["id"].(string)
-	resp, err := http.Get(base + "/v1/sessions/" + id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var again map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&again); err != nil {
-		t.Fatalf("decode info: %v", err)
-	}
-	if _, ok := again["parallelism"].(map[string]any); !ok {
-		t.Errorf("GET session info missing parallelism: %v", again)
-	}
+	var info SessionInfo
+	mustJSON(t, "POST", base+"/v1/sessions", CreateSessionRequest{Query: paperSQL, Trees: 5}, &info, http.StatusCreated)
+	var pr ProbeResponse
+	mustJSON(t, "GET", base+"/v1/sessions/"+info.ID+"/probe", nil, &pr, http.StatusOK)
 }
 
 // A request body over the 1 MiB bound is refused with 413 and the

@@ -24,10 +24,9 @@ type session struct {
 	mu       sync.Mutex
 	inner    *resolve.Session
 	result   *engine.Result
-	name     string          // configuration display name
-	scope    *obs.Scope      // request-scoped trace identity (session + request IDs)
-	group    string          // component signature; sessions with equal groups co-locate
-	par      ParallelismJSON // effective worker bounds, echoed in SessionInfo
+	name     string     // configuration display name
+	scope    *obs.Scope // request-scoped trace identity (session + request IDs)
+	group    string     // component signature; sessions with equal groups co-locate
 	lastUsed time.Time
 	probes   int
 	done     bool

@@ -19,6 +19,7 @@ import (
 	"strings"
 	"time"
 
+	"qres/internal/boolexpr"
 	"qres/internal/engine"
 	"qres/internal/obs"
 	"qres/internal/resolve"
@@ -43,10 +44,6 @@ type Config struct {
 	MaxSessions int
 	// SessionTTL evicts sessions idle longer than this (default 30m).
 	SessionTTL time.Duration
-	// Parallel is the default per-session worker bounds, used by sessions
-	// whose create request carries no "parallelism" object (zero = one
-	// worker per CPU). Results are bit-identical for any bounds.
-	Parallel resolve.Parallelism
 	// Registry collects service and per-stage pipeline metrics, rendered
 	// by GET /metrics. Nil creates a private registry.
 	Registry *obs.Registry
@@ -81,7 +78,6 @@ type Server struct {
 	slowLog        obs.Sink
 	slowThreshold  time.Duration
 	stallThreshold time.Duration
-	defaultPar     resolve.Parallelism
 
 	httpServer *http.Server
 	sweepStop  chan struct{}
@@ -124,7 +120,6 @@ func New(cfg Config) (*Server, error) {
 		slowLog:        cfg.SlowLog,
 		slowThreshold:  cfg.SlowRequestThreshold,
 		stallThreshold: cfg.RetrainStallThreshold,
-		defaultPar:     cfg.Parallel,
 		mgr:            newManager(cfg.MaxSessions, cfg.SessionTTL, cfg.Registry),
 		mux:            http.NewServeMux(),
 		sweepStop:      make(chan struct{}),
@@ -175,12 +170,15 @@ func (s *Server) janitor(ttl time.Duration) {
 
 // Bounds on what one client connection can make the service hold: time to
 // send request headers, time to send a whole request, how long an idle
-// keep-alive connection stays open, and the size of a JSON request body.
+// keep-alive connection stays open, the size of a JSON request body, and
+// the forest size a session may ask for (every answer in an online
+// session refits that many trees; the paper's default is 100).
 const (
 	readHeaderTimeout = 10 * time.Second
 	readTimeout       = 30 * time.Second
 	idleTimeout       = 2 * time.Minute
 	maxBodyBytes      = 1 << 20
+	maxTrees          = 1000
 )
 
 // Serve accepts connections on ln until Shutdown. It blocks, returning
@@ -257,11 +255,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	if !decodeRequest(w, r, &req) {
 		return
 	}
-	if strings.TrimSpace(req.Query) == "" {
-		writeError(w, http.StatusBadRequest, errors.New("query is required"))
-		return
-	}
-	cfg, err := sessionConfig(req, s.defaultPar)
+	cfg, err := sessionConfig(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -279,9 +273,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	scope.SetRequest(RequestID(r.Context()))
 	cfg.Obs = obs.New("", s.trace, s.reg).WithScope(scope)
 	cfg.RetrainStallThreshold = s.stallThreshold
-	// Session queries evaluate under the morsel-parallel executor; the
-	// config's Engine dimension bounds the worker count (0 = per CPU).
-	result, err := engine.RunWith(s.udb, plan, engine.Exec{Obs: cfg.Obs, Workers: cfg.Parallel.Engine})
+	result, err := engine.RunWith(s.udb, plan, engine.Exec{Obs: cfg.Obs})
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("query: %w", err))
 		return
@@ -300,7 +292,6 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		name:     cfg.Name(),
 		scope:    scope,
 		group:    inner.ComponentSignature(),
-		par:      ParallelismJSON{Forest: cfg.Parallel.Forest, Engine: cfg.Parallel.Engine},
 		done:     inner.Done(),
 	}
 	if err := s.mgr.add(sess); err != nil {
@@ -364,9 +355,9 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	if !decodeRequest(w, r, &req) {
 		return
 	}
-	v, ok := s.udb.VarFor(req.Table, req.Index)
-	if !ok {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: no tuple %s[%d]", resolve.ErrUnknownVariable, req.Table, req.Index))
+	v, err := answerVar(s.udb, req)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	sess.mu.Lock()
@@ -412,6 +403,15 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		s.reg.Gauge("wal_records").Set(float64(s.store.WALRecords()))
 	}
 	writeJSON(w, AnswerResponse{Done: done, Probes: sess.probes})
+}
+
+// answerVar resolves the tuple an answer names to its variable.
+func answerVar(udb *uncertain.DB, req AnswerRequest) (boolexpr.Var, error) {
+	v, ok := udb.VarFor(req.Table, req.Index)
+	if !ok {
+		return 0, fmt.Errorf("%w: no tuple %s[%d]", resolve.ErrUnknownVariable, req.Table, req.Index)
+	}
+	return v, nil
 }
 
 // handleStoreStatus reports the persistence engine behind the shared
@@ -494,7 +494,6 @@ func (s *Server) infoLocked(sess *session) SessionInfo {
 		Done:           sess.inner.Done(),
 		Components:     sess.inner.Components(),
 		ComponentGroup: sess.group,
-		Parallelism:    sess.par,
 		CreatedUnix:    sess.created.Unix(),
 		LastUsedUnix:   sess.lastUsed.Unix(),
 	}
@@ -514,16 +513,17 @@ func (s *Server) tupleValues(ref uncertain.TupleRef) []string {
 	return out
 }
 
-// sessionConfig maps API names onto a resolve.Config (the same taxonomy
-// the public qres options use). def is the server's default worker bounds
-// for requests without a parallelism object.
-func sessionConfig(req CreateSessionRequest, def resolve.Parallelism) (resolve.Config, error) {
-	cfg := resolve.Config{Seed: req.Seed, Trees: req.Trees, Parallel: def}
-	if p := req.Parallelism; p != nil {
-		cfg.Parallel = resolve.Parallelism{Forest: p.Forest, Engine: p.Engine}
+// sessionConfig validates a create request and maps its API names onto a
+// resolve.Config (the same taxonomy the public qres options use). It runs
+// before any query evaluation or training, so a rejected request costs
+// nothing beyond its decoding.
+func sessionConfig(req CreateSessionRequest) (resolve.Config, error) {
+	cfg := resolve.Config{Seed: req.Seed, Trees: req.Trees}
+	if strings.TrimSpace(req.Query) == "" {
+		return cfg, errors.New("query is required")
 	}
-	if req.Incremental != nil && !*req.Incremental {
-		cfg.DisableIncremental = true
+	if req.Trees < 0 || req.Trees > maxTrees {
+		return cfg, fmt.Errorf("trees must be between 0 (default 100) and %d, got %d", maxTrees, req.Trees)
 	}
 	switch strings.ToLower(req.Strategy) {
 	case "", "general":

@@ -7,45 +7,6 @@ import (
 	"qres"
 )
 
-// WithParallelism must not change resolutions: bit-identical results for
-// any worker count is part of its contract.
-func TestWithParallelismEquivalence(t *testing.T) {
-	run := func(opts ...qres.Option) *qres.Resolution {
-		db := buildPaperDB(t)
-		res, err := db.Query(paperSQL)
-		if err != nil {
-			t.Fatal(err)
-		}
-		orc := randomOracle(db, 0.5, 33)
-		opts = append(opts,
-			qres.WithStrategy("general"), qres.WithLearning("offline"),
-			qres.WithTrees(10), qres.WithSeed(4))
-		out, err := db.Resolve(res, orc, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-
-	base := run()
-	cases := map[string][]qres.Option{
-		"consolidated option": {qres.WithParallelism(qres.Parallelism{Forest: 2})},
-		"serial everything":   {qres.WithParallelism(qres.Parallelism{Forest: 1, Engine: 1})},
-		"wide everything":     {qres.WithParallelism(qres.Parallelism{Forest: 4, Engine: 8})},
-	}
-	for name, opts := range cases {
-		out := run(opts...)
-		if out.Probes != base.Probes {
-			t.Errorf("%s: %d probes, want %d", name, out.Probes, base.Probes)
-		}
-		for i := range base.ProbedTuples {
-			if out.ProbedTuples[i] != base.ProbedTuples[i] {
-				t.Fatalf("%s: probe %d = %v, want %v", name, i, out.ProbedTuples[i], base.ProbedTuples[i])
-			}
-		}
-	}
-}
-
 // The exported sentinel errors must surface through errors.Is at the
 // public API boundary — they are the documented error contract.
 func TestSentinelErrors(t *testing.T) {

@@ -3,6 +3,7 @@ package qres_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -98,31 +99,116 @@ func randomOracle(db *qres.DB, p float64, seed int64) *mapOracle {
 	return o
 }
 
-// TestQueryEngineParallelism pins the public contract of the Engine
-// parallelism dimension: Query with WithParallelism(Parallelism{Engine: n})
-// evaluates on the morsel-parallel executor and returns results identical
-// to the default serial evaluation — same columns, rows, row order and
-// provenance renderings.
-func TestQueryEngineParallelism(t *testing.T) {
-	db := buildPaperDB(t)
-	serial, err := db.Query(paperSQL)
-	if err != nil {
-		t.Fatal(err)
+// buildWideDB builds a database whose driver relation, facts, fills three
+// 1024-row morsels, so query evaluation fans out whenever GOMAXPROCS ≥ 2.
+func buildWideDB(t testing.TB) *qres.DB {
+	db := qres.New()
+	db.MustCreateTable("facts",
+		qres.Column{Name: "subject", Kind: qres.String},
+		qres.Column{Name: "src", Kind: qres.String},
+		qres.Column{Name: "score", Kind: qres.Int})
+	db.MustCreateTable("sources",
+		qres.Column{Name: "src", Kind: qres.String},
+		qres.Column{Name: "kind", Kind: qres.String})
+	for i := 0; i < 8; i++ {
+		db.MustInsert("sources", []any{fmt.Sprintf("src%d", i), []string{"wiki", "news"}[i%2]},
+			map[string]string{"site": fmt.Sprintf("site%d", i%3)})
 	}
-	for _, w := range []int{0, 2, 4} {
-		par, err := db.Query(paperSQL, qres.WithParallelism(qres.Parallelism{Engine: w}))
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 3000; i++ {
+		src := rng.Intn(8)
+		db.MustInsert("facts", []any{fmt.Sprintf("s%d", rng.Intn(60)), fmt.Sprintf("src%d", src), rng.Intn(100)},
+			map[string]string{"extractor": fmt.Sprintf("e%d", src%3), "batch": fmt.Sprintf("b%d", i%5)})
+	}
+	return db
+}
+
+// wideSQL joins the 3000-row driver to a small build side under a
+// selective filter, then deduplicates: the probe side runs morsel-parallel
+// below the DISTINCT, and each output row's provenance is a disjunction.
+const wideSQL = `SELECT DISTINCT f.subject, s.kind FROM facts AS f, sources AS s
+	WHERE f.src = s.src AND f.score >= 96`
+
+// gomaxprocsOutcome is what Query and Resolve return over the wide
+// database at one GOMAXPROCS setting.
+type gomaxprocsOutcome struct {
+	cols   []string
+	rows   []string
+	probes []qres.TupleRef
+}
+
+// sweepGOMAXPROCS runs Query and an online Resolve over the wide database
+// at GOMAXPROCS 1, 2 and 4, restoring the old value after each run, and
+// returns the outcomes in that order. The workload is large enough to run
+// the morsel-parallel engine and to train the forest between probes.
+func sweepGOMAXPROCS(t *testing.T) []gomaxprocsOutcome {
+	run := func(procs int) gomaxprocsOutcome {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		db := buildWideDB(t)
+		res, err := db.Query(wideSQL)
 		if err != nil {
-			t.Fatalf("Engine=%d: %v", w, err)
+			t.Fatal(err)
 		}
-		if par.Len() != serial.Len() {
-			t.Fatalf("Engine=%d: Len = %d, want %d", w, par.Len(), serial.Len())
+		out := gomaxprocsOutcome{cols: res.Columns()}
+		for i := 0; i < res.Len(); i++ {
+			out.rows = append(out.rows, fmt.Sprint(res.Row(i))+" <- "+res.Provenance(i))
 		}
-		for i := 0; i < serial.Len(); i++ {
-			if got, want := fmt.Sprint(par.Row(i)), fmt.Sprint(serial.Row(i)); got != want {
-				t.Fatalf("Engine=%d row %d = %s, want %s", w, i, got, want)
+		r, err := db.Resolve(res, randomOracle(db, 0.6, 9),
+			qres.WithStrategy("general"), qres.WithLearning("online"),
+			qres.WithTrees(10), qres.WithSeed(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.probes = r.ProbedTuples
+		return out
+	}
+	var outs []gomaxprocsOutcome
+	for _, procs := range []int{1, 2, 4} {
+		outs = append(outs, run(procs))
+	}
+	if len(outs[0].rows) < 20 || len(outs[0].probes) < 25 {
+		t.Fatalf("workload too small to exercise the pools: %d rows, %d probes", len(outs[0].rows), len(outs[0].probes))
+	}
+	return outs
+}
+
+// Query evaluates on the morsel-parallel engine with one worker per CPU,
+// and its results must not depend on the worker count: over a relation
+// large enough to fan out, GOMAXPROCS 1, 2 and 4 return identical
+// columns, row order and provenance renderings.
+func TestQueryEngineParallelism(t *testing.T) {
+	outs := sweepGOMAXPROCS(t)
+	base := outs[0]
+	for k, got := range outs[1:] {
+		procs := []int{2, 4}[k]
+		if fmt.Sprint(got.cols) != fmt.Sprint(base.cols) {
+			t.Fatalf("GOMAXPROCS=%d: columns %v, want %v", procs, got.cols, base.cols)
+		}
+		if len(got.rows) != len(base.rows) {
+			t.Fatalf("GOMAXPROCS=%d: %d rows, want %d", procs, len(got.rows), len(base.rows))
+		}
+		for i := range base.rows {
+			if got.rows[i] != base.rows[i] {
+				t.Fatalf("GOMAXPROCS=%d: row %d = %s, want %s", procs, i, got.rows[i], base.rows[i])
 			}
-			if got, want := par.Provenance(i), serial.Provenance(i); got != want {
-				t.Fatalf("Engine=%d row %d provenance = %s, want %s", w, i, got, want)
+		}
+	}
+}
+
+// Every worker pool in resolution (engine, forest, shards) follows
+// GOMAXPROCS, and resolutions must not depend on it: the same workload
+// probes the same tuples in the same order at GOMAXPROCS 1, 2 and 4.
+func TestWithParallelismEquivalence(t *testing.T) {
+	outs := sweepGOMAXPROCS(t)
+	base := outs[0]
+	for k, got := range outs[1:] {
+		procs := []int{2, 4}[k]
+		if len(got.probes) != len(base.probes) {
+			t.Fatalf("GOMAXPROCS=%d: %d probes, want %d", procs, len(got.probes), len(base.probes))
+		}
+		for i := range base.probes {
+			if got.probes[i] != base.probes[i] {
+				t.Fatalf("GOMAXPROCS=%d: probe %d = %v, want %v", procs, i, got.probes[i], base.probes[i])
 			}
 		}
 	}

@@ -25,28 +25,16 @@ type Result struct {
 // with comparison, LIKE, IN, IS [NOT] NULL and AND/OR/NOT conditions, plus
 // the year(date) function.
 //
-// Evaluation is serial by default. Passing WithParallelism enables
-// morsel-driven parallel evaluation governed by its Engine dimension
-// (0 = one worker per CPU, 1 = serial); results are bit-identical to the
-// serial path for any worker count. Other options are ignored here — they
-// configure resolution sessions.
-func (db *DB) Query(sql string, opts ...Option) (*Result, error) {
+// Evaluation fans large relations out across one worker per CPU
+// (GOMAXPROCS); results — columns, row order and provenance — are
+// bit-identical for any worker count.
+func (db *DB) Query(sql string) (*Result, error) {
 	db.freeze()
 	plan, err := sqlparse.ParseAndCompile(sql, db.data)
 	if err != nil {
 		return nil, err
 	}
-	x := engine.Exec{Workers: 1}
-	if len(opts) > 0 {
-		var o options
-		for _, opt := range opts {
-			opt(&o)
-		}
-		if o.parSet {
-			x.Workers = o.cfg.Parallel.Engine
-		}
-	}
-	res, err := engine.RunWith(db.udb, plan, x)
+	res, err := engine.Run(db.udb, plan)
 	if err != nil {
 		return nil, err
 	}

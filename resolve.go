@@ -34,7 +34,6 @@ type options struct {
 	repo      *Repository
 	strategy  string
 	strandErr error
-	parSet    bool
 }
 
 type knownAnswer struct {
@@ -105,32 +104,6 @@ func WithModel(model string) Option {
 // WithTrees sets the random-forest size (default 100).
 func WithTrees(n int) Option {
 	return func(o *options) { o.cfg.Trees = n }
-}
-
-// Parallelism bounds worker counts per parallel dimension of a resolution
-// session. The zero value of every dimension means one worker per CPU; 1
-// means serial. Results — trained models, probe sequences, resolved answer
-// sets — are bit-identical for any combination of worker counts, so these
-// knobs trade only latency, never outcomes. Per-component probe scoring
-// has no knob: it runs on up to GOMAXPROCS workers.
-type Parallelism struct {
-	// Forest bounds forest-training parallelism in the Learner.
-	Forest int
-	// Engine bounds morsel-driven parallelism in query evaluation
-	// (DB.Query and the serving path): 0 = one worker per CPU, 1 =
-	// serial streaming execution. Like every other dimension the results
-	// are bit-identical for any value — columns, row order and
-	// provenance expressions match the serial executor exactly.
-	Engine int
-}
-
-// WithParallelism bounds every parallel dimension of the session in one
-// option. Dimensions left at zero default to one worker per CPU.
-func WithParallelism(p Parallelism) Option {
-	return func(o *options) {
-		o.parSet = true
-		o.cfg.Parallel = resolve.Parallelism{Forest: p.Forest, Engine: p.Engine}
-	}
 }
 
 // WithSeed fixes the random seed, making the probe sequence deterministic.
