@@ -46,7 +46,6 @@ func main() {
 		athletes    = flag.Int("athletes", 220, "NELL athlete count (with -data nell)")
 		seed        = flag.Int64("seed", 1, "generation seed (with -data tpch or nell)")
 		storeDir    = flag.String("store", "", "probes store directory (empty: in-memory only)")
-		storeDirAlt = flag.String("store-dir", "", "alias for -store")
 		segBytes    = flag.Int64("wal-segment-bytes", 4<<20, "live WAL segment rotation bound")
 		compactIntv = flag.Duration("compact-interval", time.Minute, "background compaction interval (<=0 disables)")
 		maxSessions = flag.Int("max-sessions", 64, "maximum concurrently live sessions")
@@ -59,13 +58,9 @@ func main() {
 	)
 	flag.Parse()
 
-	dir := *storeDir
-	if dir == "" {
-		dir = *storeDirAlt
-	}
 	opts := serveOptions{
 		addr: *addr, data: *data, sf: *sf, athletes: *athletes, seed: *seed,
-		storeDir: dir, segmentBytes: *segBytes, compactInterval: *compactIntv,
+		storeDir: *storeDir, segmentBytes: *segBytes, compactInterval: *compactIntv,
 		maxSessions: *maxSessions, ttl: *ttl,
 		tracePath: *tracePath, slowPath: *slowPath,
 		slowAfter: *slowAfter, stallAfter: *stallAfter, debugAddr: *debugAddr,

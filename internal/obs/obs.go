@@ -64,6 +64,13 @@ const (
 	// StageSimplify covers substituting a probe answer into the working
 	// expressions and re-simplifying.
 	StageSimplify Stage = "simplify"
+	// StageCommitWait covers one served answer's durable commit: the call
+	// into the store's Update, from waiting for the commit lock to the
+	// fsync verdict. The answer's advance work (retrain and simplify
+	// spans) nests inside it; its lock_wait_us and fsync_wait_us
+	// attributes name the time spent waiting on other writers and on the
+	// disk.
+	StageCommitWait Stage = "commit_wait"
 	// StageHTTPRequest is one served HTTP request. The resolution service
 	// emits it to the slow-request log when a request exceeds the
 	// configured latency threshold; its duration is the request's

@@ -1,6 +1,7 @@
 package resolve
 
 import (
+	"errors"
 	"testing"
 
 	"qres/internal/engine"
@@ -254,6 +255,83 @@ func TestSubmitAnswerValidation(t *testing.T) {
 	if !s.Done() {
 		if _, _, err := s.Step(); err == nil {
 			t.Error("Step without oracle accepted")
+		}
+	}
+}
+
+// TestRecordAdvanceMatchesSubmitAnswer drives one session through
+// SubmitAnswer and a twin through its two halves: RecordAnswer (repository
+// add only — no retrain, no simplification, same round) and then either
+// Advance or, on alternate rounds, a NextProbe that runs the owed Advance
+// itself. The twins probe the same sequence and resolve the same rows.
+func TestRecordAdvanceMatchesSubmitAnswer(t *testing.T) {
+	udb, res, gt := paperSetup(t, 13)
+	cfg := Config{Utility: General{}, Learning: LearnOnline, MinTrain: 2, Seed: 5}
+	whole, err := NewSession(udb, res, nil, NewRepository(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repo := NewRepository()
+	halves, err := NewSession(udb, res, nil, repo, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := halves.Advance(); err == nil {
+		t.Error("Advance with nothing recorded accepted")
+	}
+	for round := 0; ; round++ {
+		want, wantDone, err := whole.NextProbe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotDone, err := halves.NextProbe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotDone != wantDone || got.Var != want.Var || got.Round != want.Round {
+			t.Fatalf("round %d: halves probe %+v (done %t), SubmitAnswer probe %+v (done %t)", round, got, gotDone, want, wantDone)
+		}
+		if wantDone {
+			break
+		}
+		answer, _ := gt.Val.Get(want.Var)
+		if _, err := whole.SubmitAnswer(want.Var, answer); err != nil {
+			t.Fatal(err)
+		}
+		retrains, records := halves.Learner().Retrains(), repo.Len()
+		if err := halves.RecordAnswer(got.Var, answer); err != nil {
+			t.Fatal(err)
+		}
+		if repo.Len() != records+1 || halves.Learner().Retrains() != retrains {
+			t.Fatalf("round %d: RecordAnswer added %d records and retrained %d times, want 1 and 0",
+				round, repo.Len()-records, halves.Learner().Retrains()-retrains)
+		}
+		if err := halves.RecordAnswer(got.Var, answer); !errors.Is(err, ErrNoProbePending) {
+			t.Fatalf("second RecordAnswer = %v, want ErrNoProbePending", err)
+		}
+		if round%2 == 0 {
+			if _, err := halves.Advance(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if whole.Learner().Retrains() == 0 {
+		t.Error("no answer retrained the learner")
+	}
+	if whole.Learner().Retrains() != halves.Learner().Retrains() {
+		t.Errorf("retrains: halves %d, SubmitAnswer %d", halves.Learner().Retrains(), whole.Learner().Retrains())
+	}
+	wantOut, err := whole.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotOut, err := halves.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range wantOut.Answers {
+		if gotOut.Answers[i] != wantOut.Answers[i] {
+			t.Errorf("row %d: halves %+v, SubmitAnswer %+v", i, gotOut.Answers[i], wantOut.Answers[i])
 		}
 	}
 }

@@ -106,9 +106,9 @@ func (c *featureCache) put(v boolexpr.Var, x []int32) {
 // what NewEncoder would reproduce — which the equivalence tests assert.
 //
 // A Learner is safe for concurrent use: probability and uncertainty reads
-// may run in parallel with a retraining Observe. Readers snapshot the
-// published (encoder, classifier) pair under a read lock and traverse the
-// immutable model outside it.
+// may run in parallel with a Retrain. Readers snapshot the published
+// (encoder, classifier) pair under a read lock and traverse the immutable
+// model outside it.
 type Learner struct {
 	mode           LearningMode
 	model          ModelKind
@@ -165,7 +165,7 @@ type LearnerConfig struct {
 	// Obs, when non-nil, receives a span event per (re)training pass.
 	Obs *obs.Obs
 	// StallThreshold flags online retrains that stall the answer path:
-	// when an Observe-triggered retrain takes at least this long, the
+	// when an answer-path Retrain takes at least this long, the
 	// "retrain_stalls_total" counter is incremented (0 disables). Only
 	// answer-path retrains count; the constructor's initial fit does not.
 	StallThreshold time.Duration
@@ -466,10 +466,25 @@ func (l *Learner) UncertaintyBatch(vars []boolexpr.Var, out []float64) []float64
 
 // Observe records a probe answer in the repository and, in online mode,
 // retrains the classifier — the paper's Step 5 followed by the iterative
-// return to Step 3. The retrain runs on the answer path, so retrains at
-// or above the configured stall threshold are counted as stalls.
+// return to Step 3. It is Record followed by Retrain; a caller that must
+// make the repository add atomic with something else (the server pairs it
+// with the WAL append under the store's commit lock) calls the two halves
+// separately and keeps the retrain outside that lock.
 func (l *Learner) Observe(v boolexpr.Var, answer bool) {
+	l.Record(v, answer)
+	l.Retrain()
+}
+
+// Record adds a probe answer to the repository (Step 5) without
+// retraining.
+func (l *Learner) Record(v boolexpr.Var, answer bool) {
 	l.repo.AddVar(v, l.db.MetaFor(v), answer)
+}
+
+// Retrain refits the classifier from the repository in online mode and
+// does nothing otherwise. The retrain runs on the answer path, so retrains
+// at or above the configured stall threshold are counted as stalls.
+func (l *Learner) Retrain() {
 	if l.mode == LearnOnline && l.knownProbs == nil {
 		start := time.Now()
 		l.mu.Lock()

@@ -286,6 +286,10 @@ type Session struct {
 	// by NextProbe, waiting for SubmitAnswer. Nil when no probe is parked.
 	pending   *ProbeRequest
 	pendingAt time.Time
+
+	// recorded is the answer RecordAnswer added to the repository and the
+	// owed Advance has yet to apply. Nil outside that window.
+	recorded *recordedAnswer
 }
 
 // ProbeRequest describes one outstanding probe: the variable the Probe
@@ -453,6 +457,11 @@ func (s *Session) Valuation() *boolexpr.Valuation { return s.val }
 // the oracle. done=true (with a zero request) means every expression is
 // already decided.
 func (s *Session) NextProbe() (req ProbeRequest, done bool, err error) {
+	if s.recorded != nil {
+		if _, err := s.Advance(); err != nil {
+			return ProbeRequest{}, true, err
+		}
+	}
 	if s.err != nil {
 		return ProbeRequest{}, true, s.err
 	}
@@ -565,18 +574,35 @@ func (s *Session) Pending() (ProbeRequest, bool) {
 // advances to the next round. v must match the variable returned by
 // NextProbe; answering with no probe outstanding or for a different
 // variable is an error that leaves the session state untouched.
+// SubmitAnswer is RecordAnswer followed by Advance.
 func (s *Session) SubmitAnswer(v boolexpr.Var, answer bool) (done bool, err error) {
+	if err := s.RecordAnswer(v, answer); err != nil {
+		return s.err != nil || s.work.done(), err
+	}
+	return s.Advance()
+}
+
+// RecordAnswer is SubmitAnswer's first half: it checks v against the
+// outstanding probe, emits the probe span, sets the valuation and adds the
+// answer to the repository. It touches neither the model nor the working
+// expressions, so a caller that must pair the repository add with another
+// write under a shared lock (the server's WAL append) can run it there and
+// the costly Advance outside. Its errors — ErrProbeMismatch,
+// ErrNoProbePending, ErrSessionDone, or the fault that already ended the
+// session — leave the session state untouched. After it succeeds the
+// session owes an Advance; NextProbe runs an owed Advance first.
+func (s *Session) RecordAnswer(v boolexpr.Var, answer bool) error {
 	if s.err != nil {
-		return true, s.err
+		return s.err
 	}
 	if s.pending == nil {
 		if s.work.done() {
-			return true, ErrSessionDone
+			return ErrSessionDone
 		}
-		return false, ErrNoProbePending
+		return ErrNoProbePending
 	}
 	if v != s.pending.Var {
-		return false, fmt.Errorf("%w: answer for variable %d but probe %d is outstanding", ErrProbeMismatch, v, s.pending.Var)
+		return fmt.Errorf("%w: answer for variable %d but probe %d is outstanding", ErrProbeMismatch, v, s.pending.Var)
 	}
 	// The probe span's duration is the oracle's answer latency: the time
 	// between selection and answer delivery.
@@ -586,11 +612,41 @@ func (s *Session) SubmitAnswer(v boolexpr.Var, answer bool) (done bool, err erro
 	s.stats.Probes++
 	s.stats.Cost += s.cost(v)
 	s.val.Set(v, answer)
-	s.learner.Observe(v, answer) // Step 5 + online retraining
-	s.repoSeen++                 // Observe appends exactly one record for our own probe
+	s.learner.Record(v, answer) // Step 5
+	s.repoSeen++                // Record appends exactly one record for our own probe
+	s.recorded = &recordedAnswer{v: v, answer: answer}
+	return nil
+}
+
+// recordedAnswer is an answer RecordAnswer took and Advance has yet to
+// apply.
+type recordedAnswer struct {
+	v      boolexpr.Var
+	answer bool
+}
+
+// errNothingRecorded is Advance's error when no RecordAnswer precedes it.
+var errNothingRecorded = errors.New("resolve: no recorded answer to advance")
+
+// Advance is SubmitAnswer's second half: the Learner retrains in online
+// mode (the iterative return to Step 3), the recorded answer simplifies
+// the working expressions, and the session moves to the next round. It
+// reports whether every expression is now decided. A simplification
+// failure is a fault of the session, not of the answer: it ends the
+// session, and every later call returns it.
+func (s *Session) Advance() (done bool, err error) {
+	r := s.recorded
+	if r == nil {
+		if s.err != nil {
+			return true, s.err
+		}
+		return s.work.done(), errNothingRecorded
+	}
+	s.recorded = nil
+	s.learner.Retrain()
 
 	simplifyStart := time.Now()
-	delta, err := s.work.applyProbe(v, answer)
+	delta, err := s.work.applyProbe(r.v, r.answer)
 	if err != nil {
 		s.err = err
 		return true, err

@@ -2,11 +2,15 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
 	"strings"
 	"testing"
+
+	"qres/internal/resolve"
+	"qres/internal/store"
 )
 
 // postRaw posts a raw JSON payload and decodes the response body into a
@@ -113,6 +117,40 @@ func TestErrorCodeContract(t *testing.T) {
 		t.Errorf("probe mismatch: status %d", st)
 	} else if c := errCode(t, body); c != CodeProbeMismatch {
 		t.Errorf("probe mismatch: code %q, want %q", c, CodeProbeMismatch)
+	}
+}
+
+// Only record-step refusals are the client's fault (409, re-GET the
+// probe). A fault that ended the session, an advance-step failure and a
+// WAL append failure are the server's (500 internal). An advance failure
+// cannot be provoked over HTTP (simplification only shrinks expressions),
+// so the classification is checked directly.
+func TestAnswerFailureClassification(t *testing.T) {
+	fault := errors.New("resolve: CNF of expression 3 exceeds 4096 clauses; split it first")
+	for _, tc := range []struct {
+		name                          string
+		recordErr, advanceErr, walErr error
+		status                        int
+		code                          string
+	}{
+		{"success", nil, nil, nil, 0, ""},
+		{"probe mismatch", fmt.Errorf("%w: answer for variable 1 but probe 2 is outstanding", resolve.ErrProbeMismatch), nil, nil, http.StatusConflict, CodeProbeMismatch},
+		{"no probe pending", resolve.ErrNoProbePending, nil, nil, http.StatusConflict, CodeNoProbePending},
+		{"session done", resolve.ErrSessionDone, nil, nil, http.StatusConflict, CodeSessionDone},
+		{"session ended by an earlier fault", fault, nil, nil, http.StatusInternalServerError, CodeInternal},
+		{"advance failure", nil, fault, nil, http.StatusInternalServerError, CodeInternal},
+		{"wal append failure", nil, nil, store.ErrClosed, http.StatusInternalServerError, CodeInternal},
+	} {
+		status, err := answerFailure(tc.recordErr, tc.advanceErr, tc.walErr)
+		if status != tc.status || (err == nil) != (tc.status == 0) {
+			t.Errorf("%s: status %d, err %v; want %d", tc.name, status, err, tc.status)
+			continue
+		}
+		if err != nil {
+			if code := errorCode(err, status); code != tc.code {
+				t.Errorf("%s: code %q, want %q", tc.name, code, tc.code)
+			}
+		}
 	}
 }
 

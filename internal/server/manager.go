@@ -26,6 +26,7 @@ type session struct {
 	result   *engine.Result
 	name     string     // configuration display name
 	scope    *obs.Scope // request-scoped trace identity (session + request IDs)
+	obs      *obs.Obs   // the session's instrumentation handle, for server-side spans
 	group    string     // component signature; sessions with equal groups co-locate
 	lastUsed time.Time
 	probes   int

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"qres/internal/obs"
+	"qres/internal/store"
+	"qres/internal/testdb"
 )
 
 // jsonBody marshals v into a request body reader.
@@ -128,6 +130,80 @@ func TestRequestIDsInTraceSpans(t *testing.T) {
 		t.Error("no generated X-Request-Id on response")
 	}
 	resp.Body.Close()
+}
+
+// A persistent server's answer emits exactly one commit_wait span, in the
+// session's scope, carrying the lock and fsync waits; the answer's
+// simplify span (advance step) nests inside it. A server without a store
+// commits nothing and emits none.
+func TestCommitWaitSpan(t *testing.T) {
+	udb := testdb.PaperUncertainDB()
+	st, repo, err := store.Open(t.TempDir(), store.Options{NameFn: udb.Registry().Name, ResolveFn: udb.Registry().Lookup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := &obs.Collector{}
+	_, base := startServer(t, Config{DB: udb, Repo: repo, Store: st, Trace: trace})
+
+	var info SessionInfo
+	mustJSON(t, "POST", base+"/v1/sessions", CreateSessionRequest{Query: paperSQL, Seed: 1, Trees: 25}, &info, http.StatusCreated)
+	var pr ProbeResponse
+	mustJSON(t, "GET", base+"/v1/sessions/"+info.ID+"/probe", nil, &pr, http.StatusOK)
+	if pr.Done || pr.Probe == nil {
+		t.Fatal("expected an outstanding probe")
+	}
+	resp := doWithRequestID(t, http.MethodPost, base+"/v1/sessions/"+info.ID+"/answer", "req-answer",
+		jsonBody(t, AnswerRequest{Table: pr.Probe.Table, Index: pr.Probe.Index, Answer: true}))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("answer: status %d", resp.StatusCode)
+	}
+
+	var commits, simplify []obs.Event
+	for _, ev := range trace.Events() {
+		switch ev.Stage {
+		case obs.StageCommitWait:
+			commits = append(commits, ev)
+		case obs.StageSimplify:
+			simplify = append(simplify, ev)
+		}
+	}
+	if len(commits) != 1 {
+		t.Fatalf("%d commit_wait spans for one answer, want 1", len(commits))
+	}
+	cw := commits[0]
+	if cw.SessionID != info.ID || cw.Request != "req-answer" {
+		t.Errorf("commit_wait carries session %q request %q, want %q and req-answer", cw.SessionID, cw.Request, info.ID)
+	}
+	attrs := map[string]int{}
+	for _, a := range cw.Attrs {
+		if n, ok := a.Value.(int); ok {
+			attrs[a.Key] = n
+		}
+	}
+	for _, key := range []string{"lock_wait_us", "fsync_wait_us"} {
+		n, ok := attrs[key]
+		if !ok || n < 0 || time.Duration(n)*time.Microsecond > cw.Dur {
+			t.Errorf("commit_wait attribute %s = %d (present %t), span lasts %v", key, n, ok, cw.Dur)
+		}
+	}
+	if len(simplify) != 1 {
+		t.Fatalf("%d simplify spans for one answer, want 1", len(simplify))
+	}
+	if sp := simplify[0]; sp.Time.Before(cw.Time) || sp.Time.Add(sp.Dur).After(cw.Time.Add(cw.Dur)) {
+		t.Errorf("simplify span [%v, +%v] is outside commit_wait [%v, +%v]", sp.Time, sp.Dur, cw.Time, cw.Dur)
+	}
+
+	// Without a store the answer commits nothing.
+	plain := &obs.Collector{}
+	_, base = startServer(t, Config{Trace: plain})
+	mustJSON(t, "POST", base+"/v1/sessions", CreateSessionRequest{Query: paperSQL, Seed: 1, Trees: 25}, &info, http.StatusCreated)
+	mustJSON(t, "GET", base+"/v1/sessions/"+info.ID+"/probe", nil, &pr, http.StatusOK)
+	mustJSON(t, "POST", base+"/v1/sessions/"+info.ID+"/answer",
+		AnswerRequest{Table: pr.Probe.Table, Index: pr.Probe.Index, Answer: true}, nil, http.StatusOK)
+	if n := plain.StageCount(obs.StageCommitWait); n != 0 {
+		t.Errorf("%d commit_wait spans without a store, want 0", n)
+	}
 }
 
 // TestHTTPMetricsAndSlowLog checks the per-route latency summaries (with

@@ -291,6 +291,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		result:   result,
 		name:     cfg.Name(),
 		scope:    scope,
+		obs:      cfg.Obs.WithSession(cfg.Name()),
 		group:    inner.ComponentSignature(),
 		done:     inner.Done(),
 	}
@@ -364,36 +365,46 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	defer sess.mu.Unlock()
 	sess.touch()
 	sess.scope.SetRequest(RequestID(r.Context()))
-	// SubmitAnswer adds the record to the shared repository and the append
-	// logs it to the WAL; running both inside one Store.Update makes the
-	// pair atomic with respect to Snapshot, so a periodic snapshot cannot
+	// The answer path runs in two steps. The record step (RecordAnswer:
+	// probe check, valuation, repository add) runs inside Store.Update
+	// beside the WAL append, which makes the (repository add, WAL append)
+	// pair atomic with respect to Snapshot: a periodic snapshot cannot
 	// capture the repository add and then see the append land in the
 	// freshly reset WAL (which would replay the record twice on recovery).
-	var done bool
-	var submitErr error
-	submitAndLog := func(append func(...resolve.ProbeRecord) error) error {
-		done, submitErr = sess.inner.SubmitAnswer(v, req.Answer)
-		if submitErr != nil || append == nil {
-			return nil
+	// The advance step (Advance: retrain, simplify, next round) needs only
+	// the session lock, so it runs after the commit lock is released and
+	// while the flusher fsyncs. The response still waits for the fsync.
+	var (
+		done                          bool
+		recordErr, advanceErr, walErr error
+	)
+	advance := func() {
+		if recordErr == nil {
+			done, advanceErr = sess.inner.Advance()
 		}
-		return append(resolve.ProbeRecord{Var: v, HasVar: true, Meta: s.udb.MetaFor(v), Answer: req.Answer})
 	}
-	var walErr error
-	if s.store != nil {
-		walErr = s.store.Update(submitAndLog)
+	if s.store == nil {
+		recordErr = sess.inner.RecordAnswer(v, req.Answer)
+		advance()
 	} else {
-		_ = submitAndLog(nil)
+		rec := resolve.ProbeRecord{Var: v, HasVar: true, Meta: s.udb.MetaFor(v), Answer: req.Answer}
+		pending, _ := sess.inner.Pending()
+		var locked, advanced time.Time
+		start := time.Now()
+		walErr = s.store.Update(func(ap func(...resolve.ProbeRecord) error) error {
+			locked = time.Now()
+			if recordErr = sess.inner.RecordAnswer(v, req.Answer); recordErr != nil {
+				return nil
+			}
+			return ap(rec)
+		}, func() {
+			advance()
+			advanced = time.Now()
+		})
+		emitCommitWait(sess.obs, pending.Round, start, locked, advanced)
 	}
-	if submitErr != nil {
-		// Answer for the wrong tuple, or no probe outstanding: the
-		// session state is untouched, the client should re-GET the probe.
-		writeError(w, http.StatusConflict, submitErr)
-		return
-	}
-	if walErr != nil {
-		// The answer is recorded in memory but not durable; surface
-		// the fault rather than acknowledging a lost write.
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("wal append: %w", walErr))
+	if status, err := answerFailure(recordErr, advanceErr, walErr); err != nil {
+		writeError(w, status, err)
 		return
 	}
 	sess.probes++
@@ -403,6 +414,48 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		s.reg.Gauge("wal_records").Set(float64(s.store.WALRecords()))
 	}
 	writeJSON(w, AnswerResponse{Done: done, Probes: sess.probes})
+}
+
+// emitCommitWait emits one answer's commit_wait span: from the call into
+// Store.Update to its return, with the part spent waiting for the commit
+// lock (start to locked) and the part spent waiting for the fsync verdict
+// after the advance step (advanced to the end) as attributes. The advance
+// step's retrain and simplify spans nest inside it. A zero locked or
+// advanced time means the store refused the update before that step ran.
+func emitCommitWait(o *obs.Obs, round int, start, locked, advanced time.Time) {
+	end := time.Now()
+	if locked.IsZero() {
+		locked = end
+	}
+	if advanced.IsZero() {
+		advanced = end
+	}
+	o.Emit(obs.StageCommitWait, round, start, end.Sub(start),
+		obs.Int("lock_wait_us", int(locked.Sub(start).Microseconds())),
+		obs.Int("fsync_wait_us", int(end.Sub(advanced).Microseconds())))
+}
+
+// answerFailure classifies a failed answer. Only record-step refusals —
+// the answer names another tuple, no probe is outstanding, the session is
+// done — are the client's to fix (409, re-GET the probe). Anything else is
+// the server's fault (500): the fault that already ended the session, an
+// advance-step failure (which ends it), or a WAL append that did not
+// become durable (the answer is in memory but must not be acknowledged).
+func answerFailure(recordErr, advanceErr, walErr error) (int, error) {
+	switch {
+	case recordErr != nil:
+		if errors.Is(recordErr, resolve.ErrProbeMismatch) ||
+			errors.Is(recordErr, resolve.ErrNoProbePending) ||
+			errors.Is(recordErr, resolve.ErrSessionDone) {
+			return http.StatusConflict, recordErr
+		}
+		return http.StatusInternalServerError, recordErr
+	case advanceErr != nil:
+		return http.StatusInternalServerError, advanceErr
+	case walErr != nil:
+		return http.StatusInternalServerError, fmt.Errorf("wal append: %w", walErr)
+	}
+	return 0, nil
 }
 
 // answerVar resolves the tuple an answer names to its variable.

@@ -58,7 +58,7 @@ func buildSegmentedCrashState(b *testing.B, dir string, reg *boolexpr.Registry, 
 				repo.AddVar(r.Var, r.Meta, r.Answer)
 			}
 			return ap(batchRecs...)
-		})
+		}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func BenchmarkStoreAppend(b *testing.B) {
 			return st.Update(func(ap func(...resolve.ProbeRecord) error) error {
 				repo.AddVar(rec.Var, rec.Meta, rec.Answer)
 				return ap(rec)
-			})
+			}, nil)
 		})
 	})
 }

@@ -113,16 +113,20 @@ type activeSegment struct {
 func (s *Store) Append(recs ...resolve.ProbeRecord) error {
 	return s.Update(func(ap func(...resolve.ProbeRecord) error) error {
 		return ap(recs...)
-	})
+	}, nil)
 }
 
 // Update runs fn while holding the commit-order lock; fn receives an
 // append function whose records enter the WAL in exactly the order the
-// paired repository adds become visible. The enqueue returns immediately;
-// Update itself returns only after every batch fn appended is fsynced, so
-// the caller's durability point is unchanged while the fsync is shared
-// with concurrent sessions (group commit).
-func (s *Store) Update(fn func(appendFn func(...resolve.ProbeRecord) error) error) error {
+// paired repository adds become visible. The enqueue returns immediately.
+// then, when non-nil, runs after the lock is released and before the
+// fsync wait, so work that follows the commit but need not be ordered
+// with it (the server's retrain) overlaps the flusher's fsync instead of
+// holding up every other writer; it runs only when fn did. Update itself
+// returns only after every batch fn appended is fsynced, so the caller's
+// durability point is unchanged while the fsync is shared with concurrent
+// sessions (group commit).
+func (s *Store) Update(fn func(appendFn func(...resolve.ProbeRecord) error) error, then func()) error {
 	var waits []chan error
 	s.mu.Lock()
 	if s.closed {
@@ -146,6 +150,9 @@ func (s *Store) Update(fn func(appendFn func(...resolve.ProbeRecord) error) erro
 		return nil
 	})
 	s.mu.Unlock()
+	if then != nil {
+		then()
+	}
 	for _, ch := range waits {
 		if werr := <-ch; werr != nil && err == nil {
 			err = werr

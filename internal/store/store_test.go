@@ -43,7 +43,7 @@ func addOne(t *testing.T, st *Store, repo *resolve.Repository, rec resolve.Probe
 			repo.Add(rec.Meta, rec.Answer)
 		}
 		return ap(rec)
-	})
+	}, nil)
 	if err != nil {
 		t.Fatalf("Update: %v", err)
 	}
@@ -104,6 +104,45 @@ func TestStoreRoundTrip(t *testing.T) {
 	defer st2.Close()
 	if got := saveBytes(t, repo2, env.reg.Name); !bytes.Equal(got, want) {
 		t.Errorf("recovered repository differs:\ngot  %s\nwant %s", got, want)
+	}
+}
+
+// Update's then callback runs after the commit lock is released — a
+// nested Update from inside it would deadlock otherwise — and before
+// Update returns; it is skipped when the store refuses the update.
+func TestUpdateThenRunsOutsideCommitLock(t *testing.T) {
+	env := newTestEnv()
+	st, repo, err := Open(t.TempDir(), env.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := env.probeSeq(2)
+	ran := false
+	err = st.Update(func(ap func(...resolve.ProbeRecord) error) error {
+		repo.Add(recs[0].Meta, recs[0].Answer)
+		return ap(recs[0])
+	}, func() {
+		ran = true
+		addOne(t, st, repo, recs[1])
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ran {
+		t.Fatal("then did not run before Update returned")
+	}
+	if got := st.WALRecords(); got != 2 {
+		t.Errorf("WALRecords = %d, want 2", got)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	err = st.Update(func(func(...resolve.ProbeRecord) error) error {
+		t.Error("fn ran on a closed store")
+		return nil
+	}, func() { t.Error("then ran on a closed store") })
+	if !errors.Is(err, ErrClosed) {
+		t.Errorf("Update after Close = %v, want ErrClosed", err)
 	}
 }
 
@@ -169,7 +208,7 @@ func TestGroupCommitDurability(t *testing.T) {
 				err := st.Update(func(ap func(...resolve.ProbeRecord) error) error {
 					repo.Add(rec.Meta, rec.Answer)
 					return ap(rec)
-				})
+				}, nil)
 				if err != nil {
 					errs <- err
 					return
